@@ -4,7 +4,7 @@
  *
  * Everything stochastic in the repo (Poisson arrival traces for the
  * serving simulator, randomized test fixtures) must be bit-identical
- * across platforms, `--jobs` counts and `--sim-threads` settings, so
+ * across platforms and `--jobs` counts, so
  * std::mt19937 / std::*_distribution are off limits: libstdc++ and
  * libc++ are free to (and do) implement the distributions differently.
  * These generators are specified to the bit:

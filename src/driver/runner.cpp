@@ -15,7 +15,6 @@
 #include "metrics/metrics.h"
 #include "sim/core/sm.h"
 #include "sim/gpu.h"
-#include "sim/worker_pool.h"
 #include "tensor/types.h"
 
 namespace tcsim {
@@ -623,7 +622,7 @@ evaluate(const ScenarioResult& r, const Expectation& e)
 }  // namespace
 
 ScenarioResult
-run_scenario(const Scenario& scenario, int sim_threads_override,
+run_scenario(const Scenario& scenario, int sim_threads,
              int detailed_sms_override, const ReplayOverride& replay,
              uint64_t wall_budget_ms)
 {
@@ -631,9 +630,12 @@ run_scenario(const Scenario& scenario, int sim_threads_override,
     ScenarioResult result;
     result.name = scenario.name;
     result.file = scenario.file;
+    if (sim_threads != -1 && sim_threads != 1) {
+        result.error = "run_scenario: sim_threads must be -1 or 1 (got " +
+                       std::to_string(sim_threads) + ")";
+        return result;
+    }
     SimOptions sim = scenario.sim;
-    if (sim_threads_override >= 0)
-        sim.sim_threads = sim_threads_override;
     if (detailed_sms_override >= 0)
         sim.detailed_sms = detailed_sms_override;
     if (wall_budget_ms > 0)
@@ -643,8 +645,6 @@ run_scenario(const Scenario& scenario, int sim_threads_override,
     if (sim.replay_mode != SimOptions::ReplayMode::kOff)
         sim.replay_cache = replay.cache;  // null = engine-private cache
     result.replay_mode = static_cast<int>(sim.replay_mode);
-    result.sim_threads =
-        sim.sim_threads > 0 ? sim.sim_threads : hardware_threads();
     auto t0 = clock::now();
 
     try {
@@ -762,8 +762,6 @@ run_forked_point(const Scenario& sc, size_t index, const GpuConfig& cfg,
     ScenarioResult result;
     result.name = merged.name;
     result.file = merged.file;
-    result.sim_threads =
-        sim.sim_threads > 0 ? sim.sim_threads : hardware_threads();
     result.replay_mode = static_cast<int>(sim.replay_mode);
     auto t0 = clock::now();
 
@@ -823,8 +821,8 @@ run_forked_point(const Scenario& sc, size_t index, const GpuConfig& cfg,
 }  // namespace
 
 std::vector<ScenarioResult>
-run_sweep(const Scenario& scenario, int jobs, int sim_threads_override,
-          int detailed_sms_override, bool cold_sweep,
+run_sweep(const Scenario& scenario, int jobs, int detailed_sms_override,
+          bool cold_sweep,
           const ReplayOverride& replay)
 {
     const size_t npts = scenario.sweep.points.size();
@@ -849,8 +847,6 @@ run_sweep(const Scenario& scenario, int jobs, int sim_threads_override,
     };
 
     SimOptions sim = scenario.sim;
-    if (sim_threads_override >= 0)
-        sim.sim_threads = sim_threads_override;
     if (detailed_sms_override >= 0)
         sim.detailed_sms = detailed_sms_override;
     if (replay.mode >= 0)
@@ -997,44 +993,13 @@ skipped_result(const Scenario& sc)
 
 }  // namespace
 
-int
-effective_jobs(const BatchOptions& opts,
-               const std::vector<Scenario>& scenarios)
-{
-    int hw = hardware_threads();
-    int jobs = std::max(1, opts.jobs);
-    // An explicit jobs request floors the default budget: batches of
-    // *serial* simulations keep exactly the worker count they asked
-    // for (oversubscribing with more scenarios than cores is a valid,
-    // pre-existing use).  The clamp below only redistributes the
-    // budget when intra-sim threads would multiply it.
-    int budget = opts.thread_budget > 0 ? opts.thread_budget
-                                        : std::max(hw, jobs);
-    // The widest simulation the batch will run: the override if set,
-    // else the largest per-scenario request (0 = auto = hw).
-    int per_sim = 1;
-    if (opts.sim_threads >= 0) {
-        per_sim = opts.sim_threads == 0 ? hw : opts.sim_threads;
-    } else {
-        for (const Scenario& sc : scenarios) {
-            int t = sc.sim.sim_threads == 0 ? hw : sc.sim.sim_threads;
-            per_sim = std::max(per_sim, t);
-        }
-    }
-    // Intra-sim width wins the budget; batch parallelism yields (one
-    // big scenario bounding the batch is exactly the case the worker
-    // pool exists for).
-    return std::max(1, std::min(jobs, budget / std::max(1, per_sim)));
-}
-
 BatchReport
 run_batch(const std::vector<Scenario>& scenarios, const BatchOptions& opts)
 {
     using clock = std::chrono::steady_clock;
     const bool fail_fast = opts.fail_fast;
-    const int sim_threads = opts.sim_threads;
     BatchReport report;
-    report.jobs = effective_jobs(opts, scenarios);
+    report.jobs = std::max(1, opts.jobs);
     auto t0 = clock::now();
 
     // One slot per input scenario; sweeps expand to several results,
@@ -1045,7 +1010,7 @@ run_batch(const std::vector<Scenario>& scenarios, const BatchOptions& opts)
     // scenarios but finish the one they are on.
     std::atomic<bool> stop{false};
 
-    // @p point_jobs: batch workers already saturated the budget when
+    // @p point_jobs: batch workers already use the --jobs width when
     // > 1 scenario is in flight, so only the serial branch lets a
     // sweep fan its points out.
     auto run_slot = [&](size_t i, int point_jobs) {
@@ -1055,11 +1020,10 @@ run_batch(const std::vector<Scenario>& scenarios, const BatchOptions& opts)
             return;
         }
         if (sc.is_sweep())
-            slots[i] = run_sweep(sc, point_jobs, sim_threads,
-                                 opts.detailed_sms, opts.cold_sweep,
-                                 opts.replay);
+            slots[i] = run_sweep(sc, point_jobs, opts.detailed_sms,
+                                 opts.cold_sweep, opts.replay);
         else
-            slots[i] = {run_scenario(sc, sim_threads, opts.detailed_sms,
+            slots[i] = {run_scenario(sc, -1, opts.detailed_sms,
                                      opts.replay, opts.timeout_ms)};
         if (fail_fast)
             for (const ScenarioResult& r : slots[i])
@@ -1155,7 +1119,6 @@ report_to_json(const BatchReport& report)
         JsonValue sim = JsonValue::object();
         sim.set("wall_ms", r.wall_ms);
         sim.set("ticks_per_sec", r.ticks_per_sec);
-        sim.set("sim_threads", r.sim_threads);
         if (!r.sweep_point.empty())
             sim.set("forked", r.sweep_forked);
         jr.set("sim", std::move(sim));

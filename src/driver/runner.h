@@ -81,8 +81,6 @@ struct ScenarioResult
      *  (ticks, not simulated cycles — idle-skip jumps make cycles a
      *  poor rate denominator). */
     double ticks_per_sec = 0.0;
-    /** Worker threads the simulation ran with (resolved, >= 1). */
-    int sim_threads = 1;
 
     // Serving scenarios ("serving" key) only.
     /** True when `serving` below is populated. */
@@ -122,17 +120,17 @@ struct ReplayOverride
 };
 
 /** Run one scenario to completion; never throws (errors land in
- *  ScenarioResult::error).  @p sim_threads_override replaces the
- *  scenario's sim.sim_threads when >= 0 (the simrunner --sim-threads
- *  flag and the CI serial-vs-threaded identity legs);
- *  @p detailed_sms_override likewise replaces sim.detailed_sms (the
- *  --detailed-sms flag and the CI sampled-error leg);
+ *  ScenarioResult::error).  @p sim_threads accepts only -1 (keep the
+ *  scenario's setting) or 1 (serial, the only thread count there is);
+ *  any other value yields an error row.  @p detailed_sms_override
+ *  replaces sim.detailed_sms when >= 0 (the --detailed-sms flag and
+ *  the CI sampled-error leg);
  *  @p wall_budget_ms > 0 arms the engine wall-clock watchdog (the
  *  --timeout-ms flag): a scenario stuck past the budget dies with a
  *  SimHangError diagnostic in its error row while the rest of the
  *  batch completes. */
 ScenarioResult run_scenario(const Scenario& scenario,
-                            int sim_threads_override = -1,
+                            int sim_threads = -1,
                             int detailed_sms_override = -1,
                             const ReplayOverride& replay = {},
                             uint64_t wall_budget_ms = 0);
@@ -150,7 +148,6 @@ ScenarioResult run_scenario(const Scenario& scenario,
  * point.
  */
 std::vector<ScenarioResult> run_sweep(const Scenario& scenario, int jobs = 1,
-                                      int sim_threads_override = -1,
                                       int detailed_sms_override = -1,
                                       bool cold_sweep = false,
                                       const ReplayOverride& replay = {});
@@ -174,16 +171,6 @@ struct BatchOptions
     int jobs = 1;
     /** Stop starting new scenarios after the first failure. */
     bool fail_fast = false;
-    /** Override every scenario's sim.sim_threads (-1 = keep the
-     *  per-scenario setting). */
-    int sim_threads = -1;
-    /** Total thread budget shared between batch workers and each
-     *  simulation's intra-sim workers (0 = the larger of hardware
-     *  concurrency and the explicit jobs request, so batches of
-     *  serial simulations keep exactly the workers they asked for):
-     *  jobs is clamped to budget / sim_threads so batch parallelism
-     *  times intra-sim parallelism never oversubscribes the host. */
-    int thread_budget = 0;
     /** Run sweep points cold (prefix+point from cycle 0) instead of
      *  forking the prefix snapshot — the fork-identity reference. */
     bool cold_sweep = false;
@@ -198,16 +185,9 @@ struct BatchOptions
     uint64_t timeout_ms = 0;
 };
 
-/** The batch worker count run_batch will actually use for @p opts
- *  over @p scenarios (the --jobs request after the thread-budget
- *  clamp). */
-int effective_jobs(const BatchOptions& opts,
-                   const std::vector<Scenario>& scenarios);
-
 /**
- * Run @p scenarios on a batch worker pool.  Results keep input order;
- * per-scenario statistics are independent of jobs and of each
- * simulation's sim_threads.  With fail_fast, the first failure stops
+ * Run @p scenarios on max(1, jobs) batch workers.  Results keep input
+ * order; per-scenario statistics are independent of jobs.  With fail_fast, the first failure stops
  * the batch: scenarios not yet started are marked skipped
  * (already-running workers finish their current scenario).  A sweep
  * scenario expands to one result per point, flattened in place (so

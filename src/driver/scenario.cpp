@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <set>
 
 #include "common/logging.h"
@@ -941,19 +942,20 @@ struct OverrideField
     const char* name;
     bool is_float;
     int min_value;
+    double max_value;
     void (*apply)(GpuConfig*, double);
 };
 
-#define TCSIM_INT_FIELD(key)                                                  \
-    {#key, false, 1, [](GpuConfig* c, double v) {                             \
+#define TCSIM_INT_FIELD_RANGE(key, lo, hi)                                    \
+    {#key, false, lo, hi, [](GpuConfig* c, double v) {                        \
          c->key = static_cast<decltype(c->key)>(v);                           \
      }}
-#define TCSIM_INT_FIELD_MIN0(key)                                             \
-    {#key, false, 0, [](GpuConfig* c, double v) {                             \
-         c->key = static_cast<decltype(c->key)>(v);                           \
-     }}
+#define TCSIM_INT_FIELD(key) TCSIM_INT_FIELD_RANGE(key, 1, kNoMax)
+#define TCSIM_INT_FIELD_MIN0(key) TCSIM_INT_FIELD_RANGE(key, 0, kNoMax)
 #define TCSIM_FLOAT_FIELD(key)                                                \
-    {#key, true, 1, [](GpuConfig* c, double v) { c->key = v; }}
+    {#key, true, 1, kNoMax, [](GpuConfig* c, double v) { c->key = v; }}
+
+constexpr double kNoMax = std::numeric_limits<double>::infinity();
 
 constexpr OverrideField kOverrideFields[] = {
     TCSIM_INT_FIELD(num_sms),
@@ -969,7 +971,8 @@ constexpr OverrideField kOverrideFields[] = {
     TCSIM_INT_FIELD(hmma_issue_interval),
     TCSIM_INT_FIELD(max_tc_warps_per_sm),
     TCSIM_INT_FIELD(ldst_queue_depth),
-    TCSIM_INT_FIELD(shared_mem_banks),
+    // shared_bank_conflict_degree keeps a fixed 32-entry bank table.
+    TCSIM_INT_FIELD_RANGE(shared_mem_banks, 1, 32),
     TCSIM_INT_FIELD(shared_mem_latency),
     TCSIM_INT_FIELD(l1_size),
     TCSIM_INT_FIELD(l1_hit_latency),
@@ -989,6 +992,7 @@ constexpr OverrideField kOverrideFields[] = {
     TCSIM_INT_FIELD_MIN0(dram_rw_turnaround),
 };
 
+#undef TCSIM_INT_FIELD_RANGE
 #undef TCSIM_INT_FIELD
 #undef TCSIM_INT_FIELD_MIN0
 #undef TCSIM_FLOAT_FIELD
@@ -1000,6 +1004,21 @@ find_override_field(const std::string& key)
         if (key == f.name)
             return &f;
     return nullptr;
+}
+
+/** Why @p v is out of range for gpu.@p key (empty when valid). */
+std::string
+override_range_error(const std::string& key, const OverrideField& f,
+                     double v)
+{
+    if (f.is_float && v <= 0)
+        return "gpu." + key + " must be positive";
+    if (!f.is_float && v < f.min_value)
+        return "gpu." + key + " must be >= " + std::to_string(f.min_value);
+    if (v > f.max_value)
+        return "gpu." + key + " must be <= " +
+               std::to_string(static_cast<int>(f.max_value));
+    return "";
 }
 
 }  // namespace
@@ -1022,6 +1041,9 @@ apply_gpu_override(GpuConfig* cfg, const std::string& key, double value)
     const OverrideField* f = find_override_field(key);
     if (!f)
         throw ScenarioError("unknown gpu override \"" + key + "\"");
+    std::string err = override_range_error(key, *f, value);
+    if (!err.empty())
+        throw ScenarioError(err);
     f->apply(cfg, value);
 }
 
@@ -1071,24 +1093,17 @@ parse_scenario(const JsonValue& doc, const std::string& file)
                 const OverrideField* field = find_override_field(key);
                 if (!field)
                     fail(file, "unknown key \"" + key + "\" in gpu");
-                double v;
-                if (field->is_float) {
-                    v = value.as_number();
-                    if (v <= 0)
-                        fail(file, "gpu." + key + " must be positive");
-                } else {
-                    // Integer fields: reject fractional values before
-                    // the setter truncates them (0.9 SMs must not
-                    // silently become 0).
-                    if (!value.is_number() ||
-                        std::nearbyint(value.as_number()) !=
-                            value.as_number())
-                        fail(file, "gpu." + key + " must be an integer");
-                    v = value.as_number();
-                    if (v < field->min_value)
-                        fail(file, "gpu." + key + " must be >= " +
-                                       std::to_string(field->min_value));
-                }
+                // Integer fields: reject fractional values before the
+                // setter truncates them (0.9 SMs must not silently
+                // become 0).
+                if (!field->is_float &&
+                    (!value.is_number() ||
+                     std::nearbyint(value.as_number()) != value.as_number()))
+                    fail(file, "gpu." + key + " must be an integer");
+                const double v = value.as_number();
+                std::string err = override_range_error(key, *field, v);
+                if (!err.empty())
+                    fail(file, err);
                 sc.gpu_overrides.emplace_back(key, v);
             }
         }
@@ -1108,13 +1123,11 @@ parse_scenario(const JsonValue& doc, const std::string& file)
                 fail(file, "sim.max_cycles must be positive");
             sc.sim.max_cycles = static_cast<uint64_t>(mc);
         }
-        if (const JsonValue* v = sim->find("sim_threads")) {
-            int64_t t = v->as_int();
-            if (t < 0)
-                fail(file, "sim.sim_threads must be >= 0 (0 = one per "
-                           "hardware thread)");
-            sc.sim.sim_threads = static_cast<int>(t);
-        }
+        // Accepted for old scenario files; one simulation runs on one
+        // thread.
+        if (const JsonValue* v = sim->find("sim_threads"))
+            if (v->as_int() != 1)
+                fail(file, "sim.sim_threads must be 1");
         if (const JsonValue* v = sim->find("idle_skip"))
             sc.sim.idle_skip = v->as_bool();
         if (const JsonValue* v = sim->find("min_sms")) {

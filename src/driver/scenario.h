@@ -16,9 +16,7 @@
  *             "num_sms": 8, "clock_ghz": 1.53, ...},  // field overrides
  *     "sim": {"scheduler": "gto" | "lrr" | "two_level",
  *             "max_cycles": 100000000,
- *             "sim_threads": 1,      // intra-sim worker threads
- *                                    // (0 = hardware concurrency);
- *                                    // results are thread-invariant
+ *             "sim_threads": 1,      // only 1 is accepted
  *             "idle_skip": true,     // false = lockstep main loop
  *             "min_sms": 0,          // floor on the SM-array size
  *             "detailed_sms": 0,     // sampled-SM fast-forward (see
@@ -341,7 +339,8 @@ struct Scenario
 /** Names of the GpuConfig fields overridable from the "gpu" object. */
 const std::vector<std::string>& gpu_override_keys();
 
-/** Apply one override to @p cfg; throws ScenarioError when unknown. */
+/** Apply one override to @p cfg; throws ScenarioError when the key is
+ *  unknown or the value out of range. */
 void apply_gpu_override(GpuConfig* cfg, const std::string& key,
                         double value);
 

@@ -158,13 +158,10 @@ wmma_fragment_regs(Arch arch, TcMode mode, TileShape shape)
     const int b_elems = shape.k * shape.n * dup / kWarpSize;
     const int cd_elems = shape.m * shape.n / kWarpSize;
 
-    int ab_pack;  // operand elements per 32-bit register
-    switch (mode) {
-      case TcMode::kFp16:
-      case TcMode::kMixed: ab_pack = 2; break;
-      case TcMode::kInt8: ab_pack = 4; break;
-      case TcMode::kInt4: ab_pack = 8; break;
-    }
+    // Operand elements per 32-bit register.
+    const int ab_pack = mode == TcMode::kInt8   ? 4
+                        : mode == TcMode::kInt4 ? 8
+                                                : 2;
     const int cd_pack = mode == TcMode::kFp16 ? 2 : 1;
 
     WmmaFragRegCounts counts;

@@ -7,7 +7,7 @@
  * deadline — and answers one question: how many queued requests to
  * admit as the next batch *right now* (0 = keep waiting).  Policies
  * see only the queue state and the simulated clock, so their
- * decisions are bit-deterministic across `--jobs`/`--sim-threads`.
+ * decisions are bit-deterministic across `--jobs`.
  *
  *  - StaticBatcher(batch, timeout): the classic server-side batcher.
  *    Waits until `batch` requests are queued, or until the oldest

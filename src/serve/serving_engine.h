@@ -29,8 +29,8 @@
  * exactly as far as SM capacity allows.
  *
  * Every decision is a function of simulated cycles and queue state,
- * and callbacks fire on the engine thread in canonical order, so
- * serving results are bit-identical across `--jobs`/`--sim-threads`.
+ * and callbacks fire in canonical order, so
+ * serving results are bit-identical across `--jobs`.
  */
 #pragma once
 

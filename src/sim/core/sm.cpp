@@ -1,7 +1,6 @@
 #include "sim/core/sm.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "common/logging.h"
 #include "common/sim_error.h"
@@ -25,23 +24,11 @@ ExecutorCache::key(Arch arch, const HmmaInfo& info)
 HmmaExecutor&
 ExecutorCache::get(Arch arch, const HmmaInfo& info)
 {
-    uint64_t k = key(arch, info);
-    {
-        std::shared_lock<std::shared_mutex> lock(mutex_);
-        auto it = cache_.find(k);
-        if (it != cache_.end())
-            return *it->second;
-    }
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    auto it = cache_.find(k);  // Lost the upgrade race?  Reuse.
-    if (it == cache_.end()) {
-        it = cache_
-                 .emplace(k, std::make_unique<HmmaExecutor>(
-                                 arch, info.mode, info.shape, info.a_layout,
-                                 info.b_layout))
-                 .first;
-    }
-    return *it->second;
+    std::unique_ptr<HmmaExecutor>& e = cache_[key(arch, info)];
+    if (!e)
+        e = std::make_unique<HmmaExecutor>(arch, info.mode, info.shape,
+                                           info.a_layout, info.b_layout);
+    return *e;
 }
 
 SM::SM(int id, const GpuConfig& cfg, MemorySystem* mem,
@@ -138,14 +125,6 @@ SM::launch_cta(GridRun* grid, int cta_id, uint64_t now)
 }
 
 void
-SM::cycle(uint64_t now)
-{
-    begin_tick(now);
-    tick_compute(now);
-    commit_tick();
-}
-
-void
 SM::begin_tick(uint64_t now)
 {
     now_ = now;
@@ -154,34 +133,21 @@ SM::begin_tick(uint64_t now)
 }
 
 void
-SM::tick_compute(uint64_t now)
+SM::tick_compute(uint64_t now, std::vector<CtaCompletion>* completions)
 {
+    completions_ = completions;
     for (auto& sc : subcores_) {
         if (sc->do_writebacks(now))
             progress_ = true;
         if (sc->try_issue(now))
             progress_ = true;
     }
-    // Tick-end caches: computed here (possibly on a worker thread) so
-    // the engine's busy-list rebuild and stalled-chip event scan read
-    // one value per SM instead of re-walking SM internals serially.
+    completions_ = nullptr;
+    // Tick-end caches: the engine's busy-list rebuild and stalled-chip
+    // event scan read one value per SM instead of re-walking SM
+    // internals.
     busy_cache_ = busy();
     next_event_cache_ = next_event(now);
-}
-
-void
-SM::commit_tick(std::vector<CtaCompletion>* completions)
-{
-    for (const StagedMemOp& op : staged_mem_)
-        functional_global_access(*op.warp, *op.inst, op.iter);
-    staged_mem_.clear();
-    for (const CtaCompletion& done : staged_cta_done_) {
-        if (++done.grid->ctas_done == done.grid->kernel->grid_ctas)
-            done.grid->finish_cycle = now_;
-        if (completions)
-            completions->push_back(done);
-    }
-    staged_cta_done_.clear();
 }
 
 bool
@@ -244,7 +210,11 @@ SM::mio_push(int subcore, int warp_slot, const Instruction* inst, int iter)
             return mio_block_reason_;
         return StallReason::kMioFull;
     }
-    queue.push_back(MioEntry{subcore, warp_slot, inst, iter});
+    MioEntry& e = queue.emplace_back();
+    e.subcore = subcore;
+    e.warp_slot = warp_slot;
+    e.inst = inst;
+    e.iter = iter;
     return StallReason::kNone;
 }
 
@@ -360,15 +330,16 @@ SM::warp_finished(int cta_slot)
     cta.grid = nullptr;
     cta.shared.reset();
 
-    // ctas_done / finish_cycle are shared by every SM hosting this
-    // grid: the increment applies at commit_tick, in SM-index order.
-    staged_cta_done_.push_back(CtaCompletion{grid, latency});
+    if (++grid->ctas_done == k.grid_ctas)
+        grid->finish_cycle = now_;
+    if (completions_)
+        completions_->push_back(CtaCompletion{grid, latency});
 }
 
 void
 SM::count_issue(const Warp& w, const Instruction& inst)
 {
-    RunStatsShard& s = w.grid->stats.shard(id_);
+    RunStats& s = w.grid->stats;
     ++s.instructions;
     if (inst.op == Opcode::kHmma)
         ++s.hmma_instructions;
@@ -390,9 +361,8 @@ SM::execute_functional(Warp& w, const Instruction& inst)
     switch (inst.op) {
       case Opcode::kHmma: {
         // Per-SM memo of the shared executor cache: kernels switch
-        // HMMA configurations rarely, and skipping the reader lock
-        // keeps worker threads off a shared cache line in the
-        // functional hot path (same pattern as timing_for).
+        // HMMA configurations rarely, so one entry skips nearly every
+        // map lookup in the functional hot path.
         uint64_t key = ExecutorCache::key(cfg_.arch, inst.hmma);
         if (executor_memo_ == nullptr || key != executor_memo_key_) {
             executor_memo_ = &executors_->get(cfg_.arch, inst.hmma);
@@ -404,14 +374,8 @@ SM::execute_functional(Warp& w, const Instruction& inst)
 
       case Opcode::kLdg:
       case Opcode::kStg:
-        // Global memory is shared across SMs: stage the access and
-        // apply it in commit_tick (engine thread, SM-index order).
-        // Nothing can observe the warp's registers or the addressed
-        // bytes between issue and commit — the warp issues at most
-        // one instruction per tick and dependents are scoreboarded —
-        // so the deferral is invisible to a serial run.
         TCSIM_CHECK(inst.addr);
-        staged_mem_.push_back(StagedMemOp{&w, &inst, w.iter});
+        functional_global_access(w, inst);
         break;
 
       case Opcode::kLds: {
@@ -518,14 +482,14 @@ SM::execute_functional(Warp& w, const Instruction& inst)
 }
 
 void
-SM::functional_global_access(Warp& w, const Instruction& inst, int iter)
+SM::functional_global_access(Warp& w, const Instruction& inst)
 {
     WarpRegState& regs = *w.regs;
     const int bytes = inst.width_bits / 8;
     const int nregs = std::max(1, inst.width_bits / 32);
     if (inst.op == Opcode::kLdg) {
         for (int lane = 0; lane < kWarpSize; ++lane) {
-            uint64_t a = inst.effective_addr(lane, iter);
+            uint64_t a = inst.effective_addr(lane, w.iter);
             if (a == kNoAddr)
                 continue;
             uint32_t buf[4] = {0, 0, 0, 0};
@@ -537,7 +501,7 @@ SM::functional_global_access(Warp& w, const Instruction& inst, int iter)
     }
     TCSIM_CHECK(inst.op == Opcode::kStg);
     for (int lane = 0; lane < kWarpSize; ++lane) {
-        uint64_t a = inst.effective_addr(lane, iter);
+        uint64_t a = inst.effective_addr(lane, w.iter);
         if (a == kNoAddr)
             continue;
         uint32_t buf[4];
@@ -560,9 +524,6 @@ sm_grid_index(const std::vector<GridRun*>& grids, const GridRun* g)
 void
 SM::save_state(SnapshotWriter& w, const std::vector<GridRun*>& grids) const
 {
-    if (!staged_mem_.empty() || !staged_cta_done_.empty())
-        throw SnapshotError(
-            "SM has staged work; snapshots only between ticks");
     w.tag(kTagSm);
     w.u64(now_);
     w.b(progress_);
@@ -744,8 +705,6 @@ SM::load_state(SnapshotReader& r, const std::vector<GridRun*>& grids)
     busy_cache_ = r.b();
     next_event_cache_ = r.u64();
 
-    staged_mem_.clear();
-    staged_cta_done_.clear();
     // Derived memo over the shared executor cache: repopulated on the
     // next functional HMMA (restores may target a different Gpu whose
     // ExecutorCache is distinct).

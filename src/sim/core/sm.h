@@ -15,7 +15,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <shared_mutex>
 #include <vector>
 
 #include "arch/gpu_config.h"
@@ -28,21 +27,19 @@
 
 namespace tcsim {
 
-/** Cache of functional HMMA executors keyed by configuration.
- *  Thread-safe: SMs on different worker threads share one cache
- *  (executors are immutable after construction), so lookups take a
- *  reader lock and only a first-use miss takes the writer lock. */
+/** Cache of functional HMMA executors keyed by configuration, shared
+ *  by the SMs of one Gpu (executors are immutable after
+ *  construction). */
 class ExecutorCache
 {
   public:
     HmmaExecutor& get(Arch arch, const HmmaInfo& info);
 
     /** Cache key of (arch, info) — exposed so callers can memoize the
-     *  executor pointer and skip the lock when the key repeats. */
+     *  executor pointer and skip the map lookup when the key repeats. */
     static uint64_t key(Arch arch, const HmmaInfo& info);
 
   private:
-    std::shared_mutex mutex_;
     std::map<uint64_t, std::unique_ptr<HmmaExecutor>> cache_;
 };
 
@@ -60,44 +57,22 @@ class SM
     SM(int id, const GpuConfig& cfg, MemorySystem* mem,
        ExecutorCache* executors, SchedulerPolicy policy);
 
-    /**
-     * Advance one core clock.  Equivalent to the three tick phases
-     * back-to-back; the engine calls the phases separately so that
-     * tick_compute() of many SMs can run on a worker pool while the
-     * phases that touch shared state stay on the engine thread in
-     * canonical SM-index order.
-     */
-    void cycle(uint64_t now);
-
-    // ---- Two-phase tick (deterministic parallel simulation) ----
+    // ---- Tick ----
     //
-    // Phase A  begin_tick():   drains the MIO heads through the shared
-    //                          MemorySystem.  Engine thread, ascending
-    //                          SM-index order — acceptance/refusal and
-    //                          retry cycles match a serial run exactly.
-    // Phase B  tick_compute(): sub-core writebacks + issue.  Touches
-    //                          only SM-local state, this SM's shard of
-    //                          per-grid statistics, and SM-local
-    //                          staging buffers — safe to run for all
-    //                          SMs concurrently.
-    // Phase C  commit_tick():  applies the staged functional
-    //                          global-memory accesses and grid CTA
-    //                          completions.  Engine thread, ascending
-    //                          SM-index order — cross-SM data flow
-    //                          through global memory replays in the
-    //                          same order a serial run produced.
+    // The engine ticks the cycled SMs in two passes, each in ascending
+    // SM-index order: begin_tick() for every SM first (the MIO drains
+    // through the shared MemorySystem), then tick_compute() for every
+    // SM.  The BENCH_ baselines pin this order.
 
-    /** Phase A: start the tick and service the MIO queues. */
+    /** Start the tick and service the MIO queues. */
     void begin_tick(uint64_t now);
 
-    /** Phase B: parallel-safe compute; also caches busy()/next_event()
-     *  so the engine's event scan does not touch SM internals. */
-    void tick_compute(uint64_t now);
-
-    /** Phase C: apply this tick's staged side effects.  When
-     *  @p completions is non-null (sampled mode), each CTA that
-     *  completed this tick is appended with its measured latency. */
-    void commit_tick(std::vector<CtaCompletion>* completions = nullptr);
+    /** Sub-core writebacks + issue, with functional execution.  When
+     *  @p completions is non-null (sampled mode, replay recording),
+     *  each CTA that completes this tick is appended with its
+     *  measured latency.  Also caches busy()/next_event() so the
+     *  engine's event scan does not touch SM internals. */
+    void tick_compute(uint64_t now, std::vector<CtaCompletion>* completions);
 
     /** True while CTAs are resident or traffic is in flight. */
     bool busy() const;
@@ -180,7 +155,7 @@ class SM
     void count_issue(const Warp& w, const Instruction& inst);
     void record_macro(GridRun* grid, MacroClass mc, uint64_t latency)
     {
-        grid->stats.shard(id_).record_macro(mc, latency);
+        grid->stats.record_macro(mc, latency);
     }
     SharedMemoryStorage* shared(int cta_slot);
 
@@ -225,10 +200,9 @@ class SM
     }
 
     /**
-     * Serialize/restore the full SM state (snapshot support).  Must
-     * only run between engine ticks: the staged functional-memory and
-     * CTA-completion buffers are required to be empty.  @p grids maps
-     * resident GridRun pointers to stable indices.
+     * Serialize/restore the full SM state (snapshot support), between
+     * engine ticks.  @p grids maps resident GridRun pointers to stable
+     * indices.
      */
     void save_state(SnapshotWriter& w,
                     const std::vector<GridRun*>& grids) const;
@@ -237,9 +211,8 @@ class SM
   private:
     void process_mio();
 
-    /** Functional execution of one staged global LDG/STG. */
-    void functional_global_access(Warp& w, const Instruction& inst,
-                                  int iter);
+    /** Functional execution of one global LDG/STG. */
+    void functional_global_access(Warp& w, const Instruction& inst);
 
     /** Pipeline stall reason for a memory-system refusal. */
     static StallReason stall_reason_of(MemAccept status);
@@ -305,22 +278,9 @@ class SM
     StallReason mio_block_reason_ = StallReason::kNone;
     int ctas_completed_ = 0;
 
-    /** One global-memory instruction whose functional effect is
-     *  deferred to commit_tick().  Issued this tick, applied this
-     *  tick: nothing can observe the warp's registers or the target
-     *  addresses in between, but deferral keeps the parallel compute
-     *  phase free of cross-SM loads/stores. */
-    struct StagedMemOp
-    {
-        Warp* warp;
-        const Instruction* inst;
-        int iter;
-    };
-    std::vector<StagedMemOp> staged_mem_;
-    /** Grids whose CTAs completed this tick, with the CTA's measured
-     *  latency (ctas_done / finish_cycle are grid-shared, so the
-     *  increments apply at commit). */
-    std::vector<CtaCompletion> staged_cta_done_;
+    /** CTA-completion sink of the tick in progress (see
+     *  tick_compute). */
+    std::vector<CtaCompletion>* completions_ = nullptr;
 
     /** Tick-end caches consumed by the engine (see tick_compute). */
     bool busy_cache_ = false;

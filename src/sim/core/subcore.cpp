@@ -205,7 +205,7 @@ SubCore::note_stall(StallReason r, uint64_t cycles, GridRun* grid)
 {
     stalls_[r] += cycles;
     if (grid != nullptr)
-        grid->stats.shard(sm_->id()).stalls[r] += cycles;
+        grid->stats.stalls[r] += cycles;
 }
 
 bool

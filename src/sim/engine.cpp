@@ -18,8 +18,10 @@ ExecutionEngine::ExecutionEngine(const GpuConfig& cfg, const SimOptions& opts,
                                  MemorySystem* mem, ExecutorCache* executors)
     : cfg_(cfg), opts_(opts), mem_(mem), executors_(executors)
 {
-    threads_ = opts_.sim_threads > 0 ? opts_.sim_threads
-                                     : hardware_threads();
+    if (opts_.sim_threads != 1)
+        throw std::invalid_argument(
+            "SimOptions::sim_threads must be 1 (one simulation runs on "
+            "one thread; got " + std::to_string(opts_.sim_threads) + ")");
     config_hash_ = hash_config(cfg_);
     if (opts_.replay_mode != SimOptions::ReplayMode::kOff) {
         if (opts_.detailed_sms > 0)
@@ -132,10 +134,6 @@ ExecutionEngine::validate_and_size()
     if (opts_.detailed_sms > 0 && want > run_->sms.size() &&
         run_->shadows.size() < want - run_->sms.size())
         run_->shadows.resize(want - run_->sms.size());
-    // Every resident grid needs a stats shard per SM (growth can
-    // happen mid-run when work is enqueued between advances).
-    for (const auto& l : run_->resident)
-        l->grid.stats.ensure_shards(run_->sms.size());
 }
 
 bool
@@ -195,14 +193,12 @@ ExecutionEngine::promote_streams(uint64_t now)
                 l->grid.grid_id = rs.next_grid_id++;
                 l->grid.stream_id = sr.stream->id();
                 l->grid.start_cycle = now;
-                l->grid.stats.ensure_shards(rs.sms.size());
                 l->mem_base = mem_->stats();
                 if (replay_cache_)
                     classify_replay(l.get(), now);
-                // Fault classification: promotion happens on the
-                // engine thread in canonical stream order, so the
-                // per-rule match budgets drain identically however
-                // the run is parallelized.
+                // Fault classification: promotion happens in
+                // canonical stream order, so the per-rule match
+                // budgets drain identically on every run.
                 if (fault_plan_ && fault_plan_->enabled()) {
                     if (fault_plan_->take_hang(l->desc.name))
                         l->fault_hung = true;
@@ -515,8 +511,8 @@ ExecutionEngine::finalize(Launch& l) const
         s.stalls = p.stalls;
         return s;
     }
-    s.instructions = l.grid.stats.instructions();
-    s.hmma_instructions = l.grid.stats.hmma_instructions();
+    s.instructions = l.grid.stats.instructions;
+    s.hmma_instructions = l.grid.stats.hmma_instructions;
     // Sampled mode: shadow CTAs executed no instructions — scale the
     // detailed counts up by the full-grid fraction.  Memory counters
     // are left as-measured (detailed traffic only); total.cycles is
@@ -532,8 +528,8 @@ ExecutionEngine::finalize(Launch& l) const
                                static_cast<double>(s.cycles)
                          : 0.0;
     s.mem = mem_->stats().since(l.mem_base);
-    s.macro_latency = l.grid.stats.merged_macro_latency();
-    s.stalls = l.grid.stats.stalls();
+    s.macro_latency = l.grid.stats.macro_latency;
+    s.stalls = l.grid.stats.stalls;
     return s;
 }
 
@@ -669,9 +665,9 @@ ExecutionEngine::step(uint64_t bound)
 
     // Select the SMs that tick this cycle: every SM while CTAs await
     // dispatch (any SM may accept one — and idle SMs' schedulers
-    // record the same kEmpty stalls a serial run did), otherwise only
-    // the busy list.  cycled_ stays in ascending SM-index order: the
-    // serial phases below rely on it for determinism.
+    // record the same kEmpty stalls a lockstep run does), otherwise
+    // only the busy list.  cycled_ stays in ascending SM-index order:
+    // the tick passes below rely on it.
     bool launched = false;
     cycled_.clear();
     if (dispatch_pending) {
@@ -690,43 +686,27 @@ ExecutionEngine::step(uint64_t bound)
             cycled_.push_back(rs.sms[static_cast<size_t>(id)].get());
     }
 
-    // Two-phase tick.  Phase A (engine thread, SM-index order): drain
-    // the MIO heads through the shared memory hierarchy, so every
-    // acceptance/refusal and retry cycle lands in the same canonical
-    // order a serial run produces.
-    for (SM* sm : cycled_)
-        sm->begin_tick(now);
-
-    // Phase B (worker pool): SM-local compute — writebacks, issue,
-    // functional execution into per-SM staging buffers and per-SM
-    // stats shards.  No shared mutable state, so any thread count and
-    // any scheduling of the shards yields identical results.
-    if (threads_ > 1 && !pool_ && cycled_.size() > 1)
-        pool_ = std::make_unique<WorkerPool>(threads_);
-    if (pool_ && cycled_.size() > 1) {
-        pool_->for_n(cycled_.size(),
-                     [&](size_t i) { cycled_[i]->tick_compute(now); });
-    } else {
-        for (SM* sm : cycled_)
-            sm->tick_compute(now);
-    }
-
-    // Phase C (engine thread, SM-index order): apply the staged
-    // functional global-memory accesses and grid CTA completions.
-    // Sampled mode also collects each CTA's measured latency for the
-    // shadow estimators and retires due shadow CTAs.
-    // Replay recording also wants completions: each one becomes an
-    // occupancy-timeline sample in the launch's profile.  Sampled and
-    // replay modes are mutually exclusive (ctor-enforced), so the two
-    // consumers never contend for the buffer.
+    // Sampled mode collects each CTA's measured latency for the
+    // shadow estimators and retires due shadow CTAs.  Replay recording
+    // also wants completions: each one becomes an occupancy-timeline
+    // sample in the launch's profile.  Sampled and replay modes are
+    // mutually exclusive (ctor-enforced), so the two consumers never
+    // contend for the buffer.
     bool recording = false;
     for (const auto& l : rs.resident)
         if (!l->record_key.empty())
             recording = true;
     const bool sampled = !rs.shadows.empty();
     completions_.clear();
+
+    // Drain every MIO head through the shared memory hierarchy first,
+    // then compute, both in SM-index order: memory acceptance/refusal
+    // and retry cycles land in the order the BENCH_ baselines pin.
     for (SM* sm : cycled_)
-        sm->commit_tick((sampled || recording) ? &completions_ : nullptr);
+        sm->begin_tick(now);
+    for (SM* sm : cycled_)
+        sm->tick_compute(now,
+                         (sampled || recording) ? &completions_ : nullptr);
     if (sampled)
         shadow_commit(now);
     else if (recording)
@@ -1169,30 +1149,21 @@ load_launch_stats(SnapshotReader& r)
 }
 
 void
-save_run_stats(SnapshotWriter& w, const RunStatsCollector& c)
+save_run_stats(SnapshotWriter& w, const RunStats& s)
 {
-    w.u64(c.shard_count());
-    for (size_t i = 0; i < c.shard_count(); ++i) {
-        const RunStatsShard& s = c.shard_at(i);
-        w.u64(s.instructions);
-        w.u64(s.hmma_instructions);
-        save_macro_latency(w, s.macro_latency);
-        save_stalls(w, s.stalls);
-    }
+    w.u64(s.instructions);
+    w.u64(s.hmma_instructions);
+    save_macro_latency(w, s.macro_latency);
+    save_stalls(w, s.stalls);
 }
 
 void
-load_run_stats(SnapshotReader& r, RunStatsCollector* c)
+load_run_stats(SnapshotReader& r, RunStats* s)
 {
-    uint64_t n = r.u64();
-    c->ensure_shards(n);
-    for (uint64_t i = 0; i < n; ++i) {
-        RunStatsShard& s = c->shard(static_cast<int>(i));
-        s.instructions = r.u64();
-        s.hmma_instructions = r.u64();
-        load_macro_latency(r, &s.macro_latency);
-        load_stalls(r, &s.stalls);
-    }
+    s->instructions = r.u64();
+    s->hmma_instructions = r.u64();
+    load_macro_latency(r, &s->macro_latency);
+    load_stalls(r, &s->stalls);
 }
 
 uint32_t
@@ -1420,9 +1391,6 @@ ExecutionEngine::load_state(SnapshotReader& r,
                 sm->set_warp_cap(cap);
         rs.sms.push_back(std::move(sm));
     }
-    // Every resident grid carries one stats shard per SM.
-    for (const auto& l : rs.resident)
-        l->grid.stats.ensure_shards(rs.sms.size());
     for (auto& sm : rs.sms)
         sm->load_state(r, grids);
 

@@ -33,15 +33,12 @@
  * make progress and the chip is idle, the engine throws
  * EngineDeadlockError with the cycle-accurate wait graph.
  *
- * Parallel simulation core (SimOptions::sim_threads): each tick is a
- * two-phase transaction — the MIO drains through the shared memory
- * hierarchy on the engine thread in SM-index order (phase A), the
- * SM-local compute shards across a persistent worker pool (phase B,
- * staging functional global-memory accesses and grid completions into
- * per-SM buffers and writing statistics to per-SM shards), and the
- * staged side effects commit on the engine thread in SM-index order
- * (phase C).  Results are bit-identical for every thread count; see
- * README "Performance" for the determinism argument.
+ * One simulation runs on one thread.  Each tick drains the MIO of
+ * every cycled SM through the shared memory hierarchy in SM-index
+ * order, then runs each SM's compute (writebacks, issue, functional
+ * execution) in the same order.  README "Performance" explains why
+ * the simulator parallelizes across scenarios and sweep points
+ * instead of inside one simulation.
  */
 
 #include <cstdint>
@@ -65,7 +62,6 @@
 #include "sim/mem/memory_system.h"
 #include "sim/replay/replay_cache.h"
 #include "sim/stream.h"
-#include "sim/worker_pool.h"
 
 namespace tcsim {
 
@@ -175,16 +171,9 @@ struct SimOptions
      * exists to prove exactly that (see tests/engine_mem_test.cpp).
      */
     bool idle_skip = true;
-    /**
-     * Worker threads for the engine's parallel tick phase, including
-     * the engine thread itself (1 = fully serial, 0 = one per
-     * hardware thread).  Results are bit-identical for every value:
-     * each tick shards the SMs across the pool for the compute phase
-     * only, while every interaction with shared state (MIO drains
-     * through the memory hierarchy, staged functional-memory commits,
-     * CTA dispatch and retirement) runs on the engine thread in
-     * canonical SM-index order.  See README "Performance".
-     */
+    /** Threads per simulation.  Only 1 is valid (the engine
+     *  constructor throws std::invalid_argument otherwise): the field
+     *  remains so existing callers that set it to 1 keep compiling. */
     int sim_threads = 1;
     /**
      * Floor on the SM-array size (0 = size purely from pending CTAs).
@@ -631,12 +620,6 @@ class ExecutionEngine
     /** GpuConfig digest baked into every replay fingerprint. */
     uint64_t config_hash_ = 0;
 
-    /** Resolved sim_threads (0 -> hardware concurrency). */
-    int threads_ = 1;
-    /** Worker pool for the parallel tick phase; created lazily on the
-     *  first tick with enough cycled SMs to shard (so serial configs
-     *  and tiny chips never spawn threads). */
-    std::unique_ptr<WorkerPool> pool_;
     /** Scratch: SMs cycled this tick, ascending SM-index order. */
     std::vector<SM*> cycled_;
     /** Scratch: grids retiring this tick (batched forget pass). */

@@ -24,7 +24,7 @@
  *    stateless hash of (seed, SM, sector address, cycle) — no RNG
  *    stream to order, so acceptance is independent of the order the
  *    memory system services SMs and the plan stays bit-identical
- *    across --jobs and --sim-threads.
+ *    across --jobs.
  *
  * Determinism: random SM picks draw from Pcg32(seed, stream) at
  * *compile* time (one canonical draw order), match-based faults
@@ -99,7 +99,7 @@ struct FaultCounters
  * A FaultSpec resolved against a concrete chip.  Owned by Gpu,
  * consulted by the engine (dispatch / promotion / retirement) and the
  * memory system (per-sector ECC delay).  All mutation happens on the
- * engine thread (phase A/C of the tick), so plain counters suffice.
+ * simulation's one thread, so plain counters suffice.
  */
 class FaultPlan
 {

@@ -176,7 +176,7 @@ class Gpu
     /**
      * Replace this Gpu's simulation state with @p snap.  The target
      * must have an identical GpuConfig and the same scheduler policy
-     * (other SimOptions — sim_threads, idle_skip, bounds — may
+     * (other SimOptions — idle_skip, bounds — may
      * differ).  Restoring onto a freshly constructed Gpu recreates
      * streams and events by id; restoring onto the capturing Gpu
      * rewinds it.  Throws SnapshotError on version, config, or

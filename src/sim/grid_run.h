@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <map>
-#include <vector>
 
 #include "common/stats.h"
 #include "sim/core/stall.h"
@@ -18,14 +17,8 @@
 
 namespace tcsim {
 
-/**
- * One SM's slice of a grid's statistics.  During the engine's parallel
- * compute phase every SM writes only its own shard, so grids shared by
- * many SMs need no synchronization; the engine aggregates shards in
- * SM-index order, which makes the totals independent of how the SMs
- * were scheduled across worker threads.
- */
-struct RunStatsShard
+/** Per-kernel collected statistics. */
+struct RunStats
 {
     uint64_t instructions = 0;
     uint64_t hmma_instructions = 0;
@@ -39,65 +32,6 @@ struct RunStatsShard
     {
         macro_latency[mc].add(static_cast<double>(latency));
     }
-};
-
-/** Per-kernel collected statistics, sharded by SM. */
-class RunStatsCollector
-{
-  public:
-    /** Grow to at least @p n shards.  Engine thread only: called when
-     *  the grid is promoted and whenever the SM array grows, never
-     *  concurrently with the parallel tick phase. */
-    void ensure_shards(size_t n)
-    {
-        if (shards_.size() < n)
-            shards_.resize(n);
-    }
-
-    /** SM @p sm's private slice (the only shard that SM may write). */
-    RunStatsShard& shard(int sm) { return shards_[static_cast<size_t>(sm)]; }
-
-    /** Read-only shard access (snapshot serialization). */
-    size_t shard_count() const { return shards_.size(); }
-    const RunStatsShard& shard_at(size_t i) const { return shards_[i]; }
-
-    uint64_t instructions() const
-    {
-        uint64_t t = 0;
-        for (const RunStatsShard& s : shards_)
-            t += s.instructions;
-        return t;
-    }
-
-    uint64_t hmma_instructions() const
-    {
-        uint64_t t = 0;
-        for (const RunStatsShard& s : shards_)
-            t += s.hmma_instructions;
-        return t;
-    }
-
-    StallCounts stalls() const
-    {
-        StallCounts t;
-        for (const RunStatsShard& s : shards_)
-            t.add(s.stalls);
-        return t;
-    }
-
-    /** Macro-latency histograms merged across shards in SM-index
-     *  order (deterministic sample order). */
-    std::map<MacroClass, Histogram> merged_macro_latency() const
-    {
-        std::map<MacroClass, Histogram> merged;
-        for (const RunStatsShard& s : shards_)
-            for (const auto& [mc, h] : s.macro_latency)
-                merged[mc].merge(h);
-        return merged;
-    }
-
-  private:
-    std::vector<RunStatsShard> shards_;
 };
 
 /**
@@ -126,7 +60,7 @@ struct GridRun
     /** Cycle the last CTA drained (valid once done()). */
     uint64_t finish_cycle = 0;
 
-    RunStatsCollector stats;
+    RunStats stats;
 
     bool pending() const { return next_cta < kernel->grid_ctas; }
     bool done() const { return ctas_done == kernel->grid_ctas; }

@@ -22,7 +22,7 @@
  * every GpuConfig field) must match the restoring Gpu's config — a
  * snapshot only makes sense on an identically-configured machine.
  * SimOptions may differ between capture and restore (a fork may run
- * with different sim_threads), with one exception: the warp scheduler
+ * with different bounds or idle_skip), with one exception: the warp scheduler
  * policy is baked into each sub-core at construction, so it is
  * captured and enforced.
  */
@@ -37,7 +37,7 @@
 namespace tcsim {
 
 /** Bump on any change to the archive layout. */
-inline constexpr uint32_t kSnapshotVersion = 2;
+inline constexpr uint32_t kSnapshotVersion = 3;
 
 struct Snapshot
 {

@@ -75,10 +75,10 @@ class TensorCoreUnit
 
   private:
     /** hmma_timing() for @p info, memoized per unit: the global
-     *  timing-table cache sits behind a mutex, and one lookup per
-     *  HMMA issue attempt is hot enough to contend when many SMs
-     *  tick on worker threads.  Kernels switch shapes rarely, so a
-     *  one-entry cache absorbs nearly every lookup. */
+     *  timing-table cache sits behind a mutex (the --jobs workers of
+     *  one process share it), and one lookup per HMMA issue attempt
+     *  is hot.  Kernels switch shapes rarely, so a one-entry cache
+     *  absorbs nearly every lookup. */
     const HmmaTiming& timing_for(const HmmaInfo& info)
     {
         if (timing_ == nullptr || info.mode != timing_mode_ ||

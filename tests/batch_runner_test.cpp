@@ -12,6 +12,11 @@
 #include <string>
 #include <vector>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
+#include "common/cpus.h"
 #include "driver/runner.h"
 #include "driver/scenario.h"
 
@@ -235,72 +240,62 @@ TEST(BatchRunner, ReportJsonRoundTrips)
                 results[i].find("total")->find("cycles")->as_int()),
             report.results[i].totals.cycles);
         // Speed telemetry rides in a dedicated "sim" block so the
-        // serial-vs-threaded CI diff can strip it wholesale.
+        // serial-vs-parallel CI diffs can strip it wholesale.
         const JsonValue* sim = results[i].find("sim");
         ASSERT_NE(sim, nullptr);
         EXPECT_NE(sim->find("wall_ms"), nullptr);
         EXPECT_NE(sim->find("ticks_per_sec"), nullptr);
-        EXPECT_EQ(sim->find("sim_threads")->as_int(), 1);
     }
 }
 
-TEST(BatchRunner, ThreadBudgetClampsJobs)
+TEST(BatchRunner, RunScenarioAcceptsOnlyTheSerialThreadCount)
 {
-    std::vector<Scenario> suite = make_suite();
-
-    // 8-core budget, 4 intra-sim threads -> at most 2 batch workers.
-    BatchOptions opts;
-    opts.jobs = 8;
-    opts.fail_fast = false;
-    opts.sim_threads = 4;
-    opts.thread_budget = 8;
-    EXPECT_EQ(effective_jobs(opts, suite), 2);
-
-    // Intra-sim width wins: never below one batch worker.
-    opts.sim_threads = 32;
-    EXPECT_EQ(effective_jobs(opts, suite), 1);
-
-    // Serial sims use the whole budget for batch workers.
-    opts.sim_threads = 1;
-    EXPECT_EQ(effective_jobs(opts, suite), 8);
-
-    // Default budget floors at the explicit jobs request: a batch of
-    // serial sims may deliberately oversubscribe the host.
-    opts.thread_budget = 0;
-    opts.jobs = 64;
-    EXPECT_EQ(effective_jobs(opts, suite), 64);
-
-    // No override: the widest per-scenario sim.sim_threads counts.
-    opts.jobs = 8;
-    opts.thread_budget = 8;
-    opts.sim_threads = -1;
-    suite[0].sim.sim_threads = 4;
-    EXPECT_EQ(effective_jobs(opts, suite), 2);
+    // The second parameter keeps its old position: 1 (or the -1
+    // default) runs the scenario unchanged -- it must not shift onto
+    // detailed_sms and switch on sampled mode -- and any other value
+    // is an error row.
+    const Scenario sc = make_suite()[3];
+    ScenarioResult plain = run_scenario(sc);
+    ScenarioResult one = run_scenario(sc, 1);
+    ASSERT_TRUE(plain.passed) << plain.error;
+    ASSERT_TRUE(one.passed) << one.error;
+    EXPECT_EQ(plain.totals.cycles, one.totals.cycles);
+    EXPECT_EQ(plain.totals.instructions, one.totals.instructions);
+    EXPECT_EQ(plain.totals.ticks, one.totals.ticks);
+    for (int bad : {0, 2, 4, -2}) {
+        ScenarioResult r = run_scenario(sc, bad);
+        EXPECT_FALSE(r.passed) << bad;
+        EXPECT_NE(r.error.find("sim_threads must be -1 or 1"),
+                  std::string::npos)
+            << r.error;
+    }
 }
 
-TEST(BatchRunner, SimThreadsOverrideKeepsResultsIdentical)
+TEST(BatchRunner, OutOfRangeSharedMemBanksIsATypedErrorRow)
 {
+    // The bank-conflict model handles at most 32 banks.  An override
+    // past that (here added after parsing, which rejects it too) must
+    // become one error row naming the key, not abort the batch.
     std::vector<Scenario> suite = make_suite();
-    BatchOptions serial;
-    serial.jobs = 1;
-    serial.sim_threads = 1;
-    serial.thread_budget = 1;
-    BatchOptions threaded;
-    threaded.jobs = 1;
-    threaded.sim_threads = 3;
-    threaded.thread_budget = 3;
+    suite.resize(4);
+    Scenario bad = suite[3];
+    bad.name = "banks64";
+    bad.gpu_overrides.emplace_back("shared_mem_banks", 64.0);
+    suite.insert(suite.begin() + 1, bad);
 
-    BatchReport a = run_batch(suite, serial);
-    BatchReport b = run_batch(suite, threaded);
-    ASSERT_EQ(a.results.size(), b.results.size());
-    for (size_t i = 0; i < a.results.size(); ++i) {
-        EXPECT_TRUE(b.results[i].passed) << b.results[i].name;
-        EXPECT_EQ(a.results[i].totals.cycles, b.results[i].totals.cycles)
-            << a.results[i].name;
-        EXPECT_EQ(a.results[i].totals.instructions,
-                  b.results[i].totals.instructions);
-        EXPECT_EQ(a.results[i].totals.ticks, b.results[i].totals.ticks);
-        EXPECT_EQ(b.results[i].sim_threads, 3);
+    BatchReport report = run_batch(suite, 2);
+    EXPECT_EQ(report.failed(), 1);
+    const ScenarioResult& row = report.results[1];
+    EXPECT_EQ(row.name, "banks64");
+    EXPECT_NE(row.error.find("gpu.shared_mem_banks must be <= 32"),
+              std::string::npos)
+        << row.error;
+    for (size_t i = 0; i < report.results.size(); ++i) {
+        if (i != 1) {
+            EXPECT_TRUE(report.results[i].passed)
+                << report.results[i].name << ": "
+                << report.results[i].error;
+        }
     }
 }
 
@@ -324,11 +319,13 @@ TEST(BatchRunner, OversubscribedScenarioIsATypedErrorRow)
     EXPECT_FALSE(bad.passed);
     EXPECT_NE(bad.error.find("exceeds SM resources"), std::string::npos)
         << bad.error;
-    for (size_t i = 0; i < report.results.size(); ++i)
-        if (i != 2)
+    for (size_t i = 0; i < report.results.size(); ++i) {
+        if (i != 2) {
             EXPECT_TRUE(report.results[i].passed)
                 << report.results[i].name << ": "
                 << report.results[i].error;
+        }
+    }
 }
 
 TEST(BatchRunner, HungScenarioIsContainedByTheWallWatchdog)
@@ -382,12 +379,37 @@ TEST(BatchRunner, FaultMetricsSurfaceInScenarioResults)
       ]
     })");
 
-    ScenarioResult serial = run_scenario(sc, 1);
-    ScenarioResult threaded = run_scenario(sc, 3);
+    ScenarioResult serial = run_scenario(sc);
     EXPECT_TRUE(serial.passed) << serial.error;
-    EXPECT_TRUE(threaded.passed) << threaded.error;
     EXPECT_TRUE(serial.has_faults);
-    EXPECT_EQ(serial.fault_counters.slowdown_extra_cycles,
-              threaded.fault_counters.slowdown_extra_cycles);
-    EXPECT_EQ(serial.totals.cycles, threaded.totals.cycles);
+    BatchReport parallel = run_batch({sc, sc}, 2);
+    for (const ScenarioResult& r : parallel.results) {
+        EXPECT_TRUE(r.passed) << r.error;
+        EXPECT_EQ(serial.fault_counters.slowdown_extra_cycles,
+                  r.fault_counters.slowdown_extra_cycles);
+        EXPECT_EQ(serial.totals.cycles, r.totals.cycles);
+    }
+}
+
+TEST(UsableCpus, CountsTheAffinityMaskNotTheHost)
+{
+    // The --jobs default: a run pinned to one CPU (taskset) must size
+    // itself to that CPU, not to every core of the host.
+#ifdef __linux__
+    cpu_set_t saved;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    int first = 0;
+    while (!CPU_ISSET(first, &saved))
+        ++first;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    const int pinned = usable_cpus();
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(pinned, 1);
+    EXPECT_EQ(usable_cpus(), CPU_COUNT(&saved));
+#else
+    EXPECT_GE(usable_cpus(), 1);
+#endif
 }

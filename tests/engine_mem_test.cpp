@@ -142,13 +142,22 @@ expect_bit_identical(const GpuConfig& cfg)
     EXPECT_EQ(a.mem.l2_hits, b.mem.l2_hits);
     EXPECT_EQ(a.mem.l2_misses, b.mem.l2_misses);
     EXPECT_EQ(a.mem.dram_bytes, b.mem.dram_bytes);
+    EXPECT_EQ(a.mem.global_sectors, b.mem.global_sectors);
     EXPECT_EQ(a.mem.mshr_merges, b.mem.mshr_merges);
+    EXPECT_EQ(a.mem.mshr_peak, b.mem.mshr_peak);
     EXPECT_EQ(a.mem.noc_queue_cycles, b.mem.noc_queue_cycles);
     EXPECT_EQ(a.mem.l2_queue_cycles, b.mem.l2_queue_cycles);
     EXPECT_EQ(a.mem.dram_queue_cycles, b.mem.dram_queue_cycles);
+    EXPECT_EQ(a.mem.dram_turnarounds, b.mem.dram_turnarounds);
     for (size_t i = 0; i < kNumStallReasons; ++i) {
         StallReason r = static_cast<StallReason>(i);
         EXPECT_EQ(a.stalls[r], b.stalls[r]) << stall_reason_name(r);
+    }
+    ASSERT_EQ(a.macro_latency.size(), b.macro_latency.size());
+    for (const auto& [mc, ha] : a.macro_latency) {
+        auto it = b.macro_latency.find(mc);
+        ASSERT_NE(it, b.macro_latency.end());
+        EXPECT_EQ(ha.samples(), it->second.samples());
     }
 }
 

@@ -2,8 +2,9 @@
  * @file
  * Tests for the CUDA-runtime-style event & synchronization API:
  * cross-stream happens-before via record/wait, event cycle stamps and
- * elapsed_cycles, host callbacks, resumable runs (run_until /
- * synchronize) with bit-identical timing, deadlock detection with the
+ * elapsed_cycles, functional data carried across an event edge, host
+ * callbacks, resumable runs (run_until / synchronize) with
+ * bit-identical timing and statistics, deadlock detection with the
  * wait graph, per-kernel stall attribution, and the event edge cases
  * (never-recorded wait, re-record, record+wait on one stream).
  */
@@ -49,6 +50,91 @@ small_gemm(Gpu* gpu, GemmProblem<float>* prob, const char* name)
     return kd;
 }
 
+/** A memory-bound slice: a tiny L1 and slow DRAM keep transactions
+ *  (and refused MIO heads) in flight for most of a run. */
+GpuConfig
+mem_bound_config(int sms)
+{
+    GpuConfig cfg = small_titan_v(sms);
+    cfg.l1_size = 16 * 1024;
+    cfg.dram_latency = 400;
+    return cfg;
+}
+
+/** Timing-only naive GEMM with device buffers but no host data. */
+KernelDesc
+timing_gemm(Gpu* gpu, int mnk)
+{
+    GemmKernelConfig kc;
+    kc.m = kc.n = kc.k = mnk;
+    kc.functional = false;
+    const uint64_t mn = static_cast<uint64_t>(mnk) * mnk;
+    GemmBuffers buf;
+    buf.a = gpu->mem().alloc(mn * 2);
+    buf.b = gpu->mem().alloc(mn * 2);
+    buf.c = gpu->mem().alloc(mn * 4);
+    buf.d = gpu->mem().alloc(mn * 4);
+    return make_wmma_gemm_naive(kc, buf);
+}
+
+/** Every statistic of one launch: cycle stamps, counters, memory
+ *  traffic, stalls and the macro-latency samples in order. */
+void
+expect_same_launch(const LaunchStats& a, const LaunchStats& b)
+{
+    EXPECT_EQ(a.kernel, b.kernel);
+    EXPECT_EQ(a.stream, b.stream);
+    EXPECT_EQ(a.start_cycle, b.start_cycle);
+    EXPECT_EQ(a.finish_cycle, b.finish_cycle);
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.hmma_instructions, b.hmma_instructions);
+    EXPECT_EQ(a.mem.l1_hits, b.mem.l1_hits);
+    EXPECT_EQ(a.mem.l1_misses, b.mem.l1_misses);
+    for (size_t i = 0; i < kNumStallReasons; ++i) {
+        StallReason r = static_cast<StallReason>(i);
+        EXPECT_EQ(a.stalls[r], b.stalls[r]) << stall_reason_name(r);
+    }
+    ASSERT_EQ(a.macro_latency.size(), b.macro_latency.size());
+    for (const auto& [mc, ha] : a.macro_latency) {
+        auto it = b.macro_latency.find(mc);
+        ASSERT_NE(it, b.macro_latency.end());
+        EXPECT_EQ(ha.samples(), it->second.samples());
+    }
+}
+
+/** Every statistic of one run (see expect_same_launch). */
+void
+expect_same_run(const EngineStats& a, const EngineStats& b)
+{
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.hmma_instructions, b.hmma_instructions);
+    // A bounded advance ticks at each chunk boundary where an
+    // unbounded run idle-skips straight past it, so only the covered
+    // cycle sum is chunking-invariant.
+    EXPECT_EQ(a.ticks + a.skipped_cycles, b.ticks + b.skipped_cycles);
+    EXPECT_EQ(a.current_cycle, b.current_cycle);
+    EXPECT_EQ(a.mem.l1_hits, b.mem.l1_hits);
+    EXPECT_EQ(a.mem.l1_misses, b.mem.l1_misses);
+    EXPECT_EQ(a.mem.l2_hits, b.mem.l2_hits);
+    EXPECT_EQ(a.mem.l2_misses, b.mem.l2_misses);
+    EXPECT_EQ(a.mem.dram_bytes, b.mem.dram_bytes);
+    EXPECT_EQ(a.mem.global_sectors, b.mem.global_sectors);
+    EXPECT_EQ(a.mem.mshr_merges, b.mem.mshr_merges);
+    EXPECT_EQ(a.mem.mshr_peak, b.mem.mshr_peak);
+    EXPECT_EQ(a.mem.noc_queue_cycles, b.mem.noc_queue_cycles);
+    EXPECT_EQ(a.mem.l2_queue_cycles, b.mem.l2_queue_cycles);
+    EXPECT_EQ(a.mem.dram_queue_cycles, b.mem.dram_queue_cycles);
+    EXPECT_EQ(a.mem.dram_turnarounds, b.mem.dram_turnarounds);
+    for (size_t i = 0; i < kNumStallReasons; ++i) {
+        StallReason r = static_cast<StallReason>(i);
+        EXPECT_EQ(a.stalls[r], b.stalls[r]) << stall_reason_name(r);
+    }
+    ASSERT_EQ(a.kernels.size(), b.kernels.size());
+    for (size_t k = 0; k < a.kernels.size(); ++k)
+        expect_same_launch(a.kernels[k], b.kernels[k]);
+}
+
 TEST(Event, CrossStreamHappensBefore)
 {
     // consumer waits on an event recorded after producer: its window
@@ -72,6 +158,39 @@ TEST(Event, CrossStreamHappensBefore)
     EXPECT_TRUE(done.complete());
     EXPECT_GT(done.cycle(), es.kernels[0].finish_cycle);
     EXPECT_LE(done.cycle(), es.kernels[1].start_cycle);
+}
+
+TEST(Event, FunctionalKernelsAcrossEventEdgeVerify)
+{
+    // Functional kernels carry real data through global memory on two
+    // streams gated by an event, on a memory-bound slice: the event
+    // orders the consumer after the producer and both computed
+    // matrices match the host reference.
+    Gpu gpu(mem_bound_config(4));
+    GemmProblem<float> p1(64, 64, 64, Layout::kRowMajor, Layout::kRowMajor);
+    GemmProblem<float> p2(64, 64, 64, Layout::kRowMajor, Layout::kRowMajor);
+    GemmKernelConfig kc;
+    kc.m = kc.n = kc.k = 64;
+    GemmBuffers b1 = p1.upload(&gpu.mem());
+    GemmBuffers b2 = p2.upload(&gpu.mem());
+    Stream& s1 = gpu.default_stream();
+    Stream& s2 = gpu.create_stream();
+    Event& e = gpu.create_event("producer_done");
+    KernelDesc k1 = make_wmma_gemm_naive(kc, b1);
+    k1.name = "producer";
+    s1.enqueue(std::move(k1));
+    s1.record(e);
+    s2.wait(e);
+    KernelDesc k2 = make_wmma_gemm_naive(kc, b2);
+    k2.name = "consumer";
+    s2.enqueue(std::move(k2));
+    EngineStats es = gpu.run();
+
+    ASSERT_EQ(es.kernels.size(), 2u);
+    EXPECT_EQ(es.kernels[1].kernel, "consumer");
+    EXPECT_GT(es.kernels[1].start_cycle, es.kernels[0].finish_cycle);
+    EXPECT_LE(p1.verify(gpu.mem(), b1.d), 1e-3);
+    EXPECT_LE(p2.verify(gpu.mem(), b2.d), 1e-3);
 }
 
 TEST(Event, WithoutWaitStreamsStillOverlap)
@@ -321,6 +440,24 @@ TEST(Resume, RunUntilThenResumeIsBitIdentical)
     // Progress snapshots are monotone prefixes of the final result.
     EXPECT_LE(step1.kernels.size(), step2.kernels.size());
     EXPECT_LE(step2.kernels.size(), final.kernels.size());
+}
+
+TEST(Resume, ChunkedRunMatchesOneShotOnFullStats)
+{
+    // Pausing mid-run on a memory-bound slice (transactions and
+    // refused MIO heads in flight at the pause) changes no statistic.
+    const GpuConfig cfg = mem_bound_config(4);
+    Gpu one(cfg);
+    one.default_stream().enqueue(timing_gemm(&one, 64));
+    EngineStats whole = one.run();
+
+    Gpu chunked(cfg);
+    chunked.default_stream().enqueue(timing_gemm(&chunked, 64));
+    chunked.run_until(whole.cycles / 3);
+    EXPECT_TRUE(chunked.run_active());
+    chunked.run_until(whole.cycles / 2);
+    EXPECT_TRUE(chunked.run_active());
+    expect_same_run(whole, chunked.run());
 }
 
 TEST(Resume, WorkEnqueuedBetweenAdvancesJoinsTheRun)

@@ -5,8 +5,7 @@
  * budgets, the stateless ECC hash, and end-to-end engine behaviour --
  * disabled/degraded SMs slow a multi-CTA kernel, slowdowns stretch
  * completion, hangs block the run until kill_stream() or a watchdog
- * contains them, and every faulty run stays bit-identical across
- * sim_threads.
+ * contains them, and faulty runs are deterministic.
  */
 
 #include <gtest/gtest.h>
@@ -27,14 +26,6 @@ small_gpu(int sms = 4)
     GpuConfig cfg = titan_v_config();
     cfg.num_sms = sms;
     return cfg;
-}
-
-SimOptions
-serial_sim()
-{
-    SimOptions sim;
-    sim.sim_threads = 1;
-    return sim;
 }
 
 /** A multi-CTA GEMM so SM-level faults have something to slow down. */
@@ -59,13 +50,10 @@ gemm_kernel(Gpu& gpu, const GpuConfig& cfg, int mn = 128)
 
 /** Cycles to run one GEMM to completion under @p faults. */
 uint64_t
-faulty_cycles(const FaultSpec& faults, FaultCounters* counters = nullptr,
-              int sim_threads = 1)
+faulty_cycles(const FaultSpec& faults, FaultCounters* counters = nullptr)
 {
     GpuConfig cfg = small_gpu();
-    SimOptions sim = serial_sim();
-    sim.sim_threads = sim_threads;
-    Gpu gpu(cfg, sim, faults);
+    Gpu gpu(cfg, SimOptions{}, faults);
     gpu.default_stream().enqueue(gemm_kernel(gpu, cfg));
     EngineStats stats = gpu.run();
     if (counters)
@@ -230,25 +218,6 @@ TEST(FaultEngine, SlowdownStretchesCompletion)
     EXPECT_GT(stretched, healthy * 3 / 2);
 }
 
-TEST(FaultEngine, FaultyRunsAreBitIdenticalAcrossSimThreads)
-{
-    FaultSpec faults;
-    faults.enabled = true;
-    faults.disabled_sms = {1};
-    faults.degraded_sms = {{2, 4}};
-    faults.slowdowns.push_back({"wmma", 1.5, 0});
-    faults.ecc_prob = 0.05;
-    faults.ecc_extra_cycles = 60;
-
-    FaultCounters serial_c, par_c;
-    const uint64_t serial = faulty_cycles(faults, &serial_c, 1);
-    const uint64_t par = faulty_cycles(faults, &par_c, 4);
-    EXPECT_EQ(serial, par);
-    EXPECT_EQ(serial_c.ecc_retries, par_c.ecc_retries);
-    EXPECT_EQ(serial_c.ecc_extra_cycles, par_c.ecc_extra_cycles);
-    EXPECT_EQ(serial_c.slowdown_extra_cycles, par_c.slowdown_extra_cycles);
-}
-
 TEST(FaultEngine, EccRetriesAddLatencyDeterministically)
 {
     const uint64_t healthy = faulty_cycles(FaultSpec{});
@@ -269,7 +238,7 @@ TEST(FaultEngine, EccRetriesAddLatencyDeterministically)
 TEST(FaultEngine, HangBlocksRunUntilAndKillStreamRecovers)
 {
     GpuConfig cfg = small_gpu();
-    Gpu gpu(cfg, serial_sim(), [] {
+    Gpu gpu(cfg, SimOptions{}, [] {
         FaultSpec f;
         f.enabled = true;
         f.hangs.push_back({"doomed", 1.0, 1});
@@ -301,7 +270,7 @@ TEST(FaultEngine, HangIsTerminalForRunToCompletion)
     FaultSpec f;
     f.enabled = true;
     f.hangs.push_back({"wmma", 1.0, 1});
-    Gpu gpu(cfg, serial_sim(), f);
+    Gpu gpu(cfg, SimOptions{}, f);
     gpu.default_stream().enqueue(gemm_kernel(gpu, cfg, 64));
     try {
         gpu.run();
@@ -316,7 +285,7 @@ TEST(FaultEngine, HangIsTerminalForRunToCompletion)
 TEST(FaultEngine, MaxCyclesWatchdogCarriesDiagnosticDump)
 {
     GpuConfig cfg = small_gpu();
-    SimOptions sim = serial_sim();
+    SimOptions sim;
     sim.max_cycles = 200;  // Far below one GEMM's duration.
     Gpu gpu(cfg, sim);
     gpu.default_stream().enqueue(gemm_kernel(gpu, cfg, 64));
@@ -342,7 +311,7 @@ TEST(FaultEngine, FaultsAreTimingOnly)
     faults.ecc_prob = 0.3;
     faults.ecc_extra_cycles = 80;
     faults.slowdowns.push_back({"wmma", 2.0, 0});
-    Gpu gpu(cfg, serial_sim(), faults);
+    Gpu gpu(cfg, SimOptions{}, faults);
     KernelDesc k = gemm_kernel(gpu, cfg, 64);
     gpu.default_stream().enqueue(k);
     EngineStats stats = gpu.run();

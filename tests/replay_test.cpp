@@ -303,35 +303,6 @@ TEST(Replay, WarmthClassSeparatesColdFromWarm)
     EXPECT_EQ(rep.replay_misses, 1u);
 }
 
-TEST(Replay, DeterministicAcrossSimThreads)
-{
-    GpuConfig cfg = small_titan_v(8);
-    ReplayCache cache;
-    SimOptions record;
-    record.replay_mode = SimOptions::ReplayMode::kRecord;
-    record.replay_cache = &cache;
-    run_serial_gemms(cfg, record, 3, 64);
-
-    SimOptions serial;
-    serial.replay_mode = SimOptions::ReplayMode::kReplay;
-    serial.replay_cache = &cache;
-    serial.sim_threads = 1;
-    EngineStats a = run_serial_gemms(cfg, serial, 3, 64);
-    for (int t : {2, 4}) {
-        SCOPED_TRACE("sim_threads=" + std::to_string(t));
-        SimOptions par = serial;
-        par.sim_threads = t;
-        EngineStats b = run_serial_gemms(cfg, par, 3, 64);
-        EXPECT_EQ(b.cycles, a.cycles);
-        EXPECT_EQ(b.instructions, a.instructions);
-        EXPECT_EQ(b.replay_hits, a.replay_hits);
-        ASSERT_EQ(b.kernels.size(), a.kernels.size());
-        for (size_t i = 0; i < a.kernels.size(); ++i)
-            EXPECT_EQ(b.kernels[i].finish_cycle,
-                      a.kernels[i].finish_cycle);
-    }
-}
-
 TEST(Replay, VerifyModePassesOnExactProfilesAndCounts)
 {
     GpuConfig cfg = small_titan_v(4);

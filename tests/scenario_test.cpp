@@ -188,6 +188,61 @@ TEST(Scenario, RejectsFractionalIntegerOverrides)
     EXPECT_DOUBLE_EQ(sc.gpu_config().clock_ghz, 1.47);
 }
 
+namespace {
+
+/** The ScenarioError message @p text raises ("" if it parses). */
+std::string
+parse_error(const std::string& text)
+{
+    try {
+        parse_scenario_text(text);
+    } catch (const ScenarioError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+}  // namespace
+
+TEST(Scenario, RejectsOutOfRangeSharedMemBanks)
+{
+    // The bank-conflict model tracks at most 32 banks; a wider config
+    // used to pass parsing and abort the process mid-run.
+    auto banks = [](const std::string& n) {
+        return R"({"name": "s", "gpu": {"shared_mem_banks": )" + n +
+               R"(}, "kernels": [{"kernel": "wmma_shared"}]})";
+    };
+    EXPECT_NE(parse_error(banks("64")).find(
+                  "gpu.shared_mem_banks must be <= 32"),
+              std::string::npos);
+    EXPECT_NE(parse_error(banks("0")).find(
+                  "gpu.shared_mem_banks must be >= 1"),
+              std::string::npos);
+    EXPECT_EQ(parse_error(banks("32")), "");
+    EXPECT_EQ(parse_scenario_text(banks("16")).gpu_config().shared_mem_banks,
+              16);
+    // The programmatic override path checks the same range.
+    GpuConfig cfg = titan_v_config();
+    EXPECT_THROW(apply_gpu_override(&cfg, "shared_mem_banks", 64),
+                 ScenarioError);
+}
+
+TEST(Scenario, SimThreadsAcceptsOnlyOne)
+{
+    // Old scenario files may say "sim_threads": 1; any other value is
+    // a parse error (one simulation runs on one thread), not an abort
+    // or a silently ignored setting.
+    auto threads = [](const std::string& n) {
+        return R"({"name": "s", "sim": {"sim_threads": )" + n +
+               R"(}, "kernels": [{"kernel": "hmma_stress"}]})";
+    };
+    EXPECT_EQ(parse_error(threads("1")), "");
+    for (const char* bad : {"4", "0", "2"})
+        EXPECT_NE(parse_error(threads(bad)).find("sim.sim_threads must be 1"),
+                  std::string::npos)
+            << bad;
+}
+
 TEST(Scenario, RejectsUnknownKeys)
 {
     EXPECT_THROW(parse_scenario_text(R"({

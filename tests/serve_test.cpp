@@ -4,8 +4,7 @@
  * trace determinism, percentile math on known distributions, the
  * engine's idle fast-forward (advance_idle_to), and end-to-end
  * run_serving behaviour -- empty trace, single request, static
- * timeout flush, continuous join, and bit-identity between serial and
- * multi-threaded simulation.
+ * timeout flush and continuous join.
  */
 
 #include <gtest/gtest.h>
@@ -25,21 +24,13 @@ using namespace tcsim::serve;
 
 namespace {
 
-/** Small GPU + serial sim so end-to-end runs stay fast. */
+/** Small GPU so end-to-end runs stay fast. */
 GpuConfig
 small_gpu()
 {
     GpuConfig cfg = titan_v_config();
     cfg.num_sms = 4;
     return cfg;
-}
-
-SimOptions
-serial_sim()
-{
-    SimOptions sim;
-    sim.sim_threads = 1;
-    return sim;
 }
 
 /** Two 64-wide linear layers, one row per request: each wavefront is
@@ -110,8 +101,9 @@ TEST(RequestTrace, PoissonDeterministicAndSorted)
     for (size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].arrival_cycle, b[i].arrival_cycle);
         EXPECT_EQ(a[i].id, static_cast<int>(i));
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(a[i].arrival_cycle, a[i - 1].arrival_cycle);
+        }
     }
     // Mean inter-arrival gap converges on the requested mean.
     const double mean =
@@ -209,7 +201,7 @@ TEST(LatencyStats, SummaryOnKnownRecords)
 
 TEST(AdvanceIdleTo, JumpsBlockedRunsAndAccountsSkips)
 {
-    Gpu gpu(small_gpu(), serial_sim());
+    Gpu gpu(small_gpu(), SimOptions{});
     Event& keepalive = gpu.create_event("keepalive");
     gpu.create_stream().wait(keepalive);
     gpu.run_until(0);  // Pauses blocked: only a host-resolvable wait.
@@ -227,7 +219,7 @@ TEST(AdvanceIdleTo, JumpsBlockedRunsAndAccountsSkips)
 TEST(AdvanceIdleTo, RejectsRunnableWorkAndBadTargets)
 {
     GpuConfig cfg = small_gpu();
-    SimOptions sim = serial_sim();
+    SimOptions sim;
     sim.max_cycles = 1000000;
     Gpu gpu(cfg, sim);
     // Not inside a resumable run.
@@ -265,7 +257,7 @@ TEST(Serving, EmptyTrace)
 {
     StaticBatcher policy(4, 1000);
     ServingResult r =
-        run_serving(small_gpu(), serial_sim(), tiny_mlp(), {}, policy);
+        run_serving(small_gpu(), SimOptions{}, tiny_mlp(), {}, policy);
     EXPECT_EQ(r.report.requests, 0);
     EXPECT_EQ(r.report.completed, 0);
     EXPECT_EQ(r.report.batches, 0);
@@ -276,7 +268,7 @@ TEST(Serving, EmptyTrace)
 TEST(Serving, SingleRequest)
 {
     StaticBatcher policy(1, 0);
-    ServingResult r = run_serving(small_gpu(), serial_sim(), tiny_mlp(),
+    ServingResult r = run_serving(small_gpu(), SimOptions{}, tiny_mlp(),
                                   at_cycles({100}), policy);
     EXPECT_EQ(r.report.completed, 1);
     ASSERT_EQ(r.report.batches, 1);
@@ -303,7 +295,7 @@ TEST(Serving, StaticTimeoutFlushesPartialBatch)
     // Two requests, batch 4: only the timeout gets them admitted, as
     // one partial batch at exactly oldest_arrival + timeout.
     StaticBatcher policy(4, 50000);
-    ServingResult r = run_serving(small_gpu(), serial_sim(), tiny_mlp(),
+    ServingResult r = run_serving(small_gpu(), SimOptions{}, tiny_mlp(),
                                   at_cycles({1000, 2000}), policy);
     EXPECT_EQ(r.report.completed, 2);
     ASSERT_EQ(r.report.batches, 1);
@@ -315,7 +307,7 @@ TEST(Serving, StaticTimeoutFlushesPartialBatch)
 TEST(Serving, StaticFullBatchNeedsNoTimeout)
 {
     StaticBatcher policy(2, 1000000);
-    ServingResult r = run_serving(small_gpu(), serial_sim(), tiny_mlp(),
+    ServingResult r = run_serving(small_gpu(), SimOptions{}, tiny_mlp(),
                                   at_cycles({1000, 2000}), policy);
     ASSERT_EQ(r.report.batches, 1);
     // Admitted the moment the second request arrives.
@@ -329,7 +321,7 @@ TEST(Serving, ContinuousOverlapsAndJoinsOnCompletion)
     // completion frees a slot -- while the other batch is still on the
     // GPU.
     ContinuousBatcher policy(1, 2);
-    ServingResult r = run_serving(small_gpu(), serial_sim(), tiny_mlp(),
+    ServingResult r = run_serving(small_gpu(), SimOptions{}, tiny_mlp(),
                                   at_cycles({0, 0, 0}), policy);
     EXPECT_EQ(r.report.completed, 3);
     ASSERT_EQ(r.report.batches, 3);
@@ -353,34 +345,9 @@ TEST(Serving, WedgedPolicyThrows)
     // batch > queued and an effectively infinite timeout: the policy
     // can never admit, which must be a loud error, not a hang.
     StaticBatcher policy(4, UINT64_MAX / 2);
-    EXPECT_THROW(run_serving(small_gpu(), serial_sim(), tiny_mlp(),
+    EXPECT_THROW(run_serving(small_gpu(), SimOptions{}, tiny_mlp(),
                              at_cycles({0}), policy),
                  ServingError);
-}
-
-TEST(Serving, BitIdenticalAcrossSimThreads)
-{
-    StaticBatcher policy(2, 30000);
-    std::vector<Request> trace = poisson_trace(11, 6, 20000.0);
-    SimOptions threaded;
-    threaded.sim_threads = 4;
-    ServingResult serial =
-        run_serving(small_gpu(), serial_sim(), tiny_mlp(), trace, policy);
-    ServingResult par =
-        run_serving(small_gpu(), threaded, tiny_mlp(), trace, policy);
-    EXPECT_EQ(serial.totals.cycles, par.totals.cycles);
-    EXPECT_EQ(serial.totals.instructions, par.totals.instructions);
-    ASSERT_EQ(serial.report.request_records.size(),
-              par.report.request_records.size());
-    for (size_t i = 0; i < serial.report.request_records.size(); ++i) {
-        const RequestRecord& a = serial.report.request_records[i];
-        const RequestRecord& b = par.report.request_records[i];
-        EXPECT_EQ(a.admit_cycle, b.admit_cycle);
-        EXPECT_EQ(a.finish_cycle, b.finish_cycle);
-        EXPECT_EQ(a.batch, b.batch);
-    }
-    EXPECT_EQ(serial.report.latency.latency_p99,
-              par.report.latency.latency_p99);
 }
 
 TEST(Serving, WedgeErrorCarriesLoopStateSnapshot)
@@ -389,7 +356,7 @@ TEST(Serving, WedgeErrorCarriesLoopStateSnapshot)
     // queue depth, in-flight count, and the policy's next deadline.
     StaticBatcher policy(4, UINT64_MAX / 2);
     try {
-        run_serving(small_gpu(), serial_sim(), tiny_mlp(),
+        run_serving(small_gpu(), SimOptions{}, tiny_mlp(),
                     at_cycles({0}), policy);
         FAIL() << "expected ServingError";
     } catch (const ServingError& e) {
@@ -411,7 +378,7 @@ TEST(Serving, StaticTimeoutOfZeroFlushesAtArrival)
     EXPECT_EQ(policy.next_deadline({1, 700, 0}), 700u);
     EXPECT_EQ(policy.admit(700, {1, 700, 0}), 1);
 
-    ServingResult r = run_serving(small_gpu(), serial_sim(), tiny_mlp(),
+    ServingResult r = run_serving(small_gpu(), SimOptions{}, tiny_mlp(),
                                   at_cycles({500}), policy);
     EXPECT_EQ(r.report.completed, 1);
     ASSERT_EQ(r.report.batches, 1);
@@ -425,7 +392,7 @@ TEST(Serving, NoDeadlineWithNonEmptyQueueWakesOnCompletion)
     // next_deadline == UINT64_MAX (deadlines apply when idle only).
     // The loop must wake on batch completion, not spin or wedge.
     StaticBatcher policy(1, UINT64_MAX / 2);
-    ServingResult r = run_serving(small_gpu(), serial_sim(), tiny_mlp(),
+    ServingResult r = run_serving(small_gpu(), SimOptions{}, tiny_mlp(),
                                   at_cycles({0, 0}), policy);
     EXPECT_EQ(r.report.completed, 2);
     ASSERT_EQ(r.report.batches, 2);
@@ -441,7 +408,7 @@ TEST(Serving, ContinuousAdmitsAtFinalLayerBoundary)
     // remaining decision point of the running batch is its final
     // layer's completion callback, which must admit the latecomer.
     ContinuousBatcher policy(1, 1);
-    ServingResult r = run_serving(small_gpu(), serial_sim(), tiny_mlp(),
+    ServingResult r = run_serving(small_gpu(), SimOptions{}, tiny_mlp(),
                                   at_cycles({0, 10}), policy);
     EXPECT_EQ(r.report.completed, 2);
     ASSERT_EQ(r.report.batches, 2);
@@ -456,7 +423,7 @@ TEST(ServingResilience, DeadlineMissAccounting)
     StaticBatcher policy(1, 0);
     ServingResilience strict;
     strict.deadline_cycles = 1;  // Nothing finishes this fast.
-    ServingResult r = run_serving(small_gpu(), serial_sim(), tiny_mlp(),
+    ServingResult r = run_serving(small_gpu(), SimOptions{}, tiny_mlp(),
                                   at_cycles({0, 1000}), policy, {}, strict);
     EXPECT_TRUE(r.report.resilience);
     EXPECT_EQ(r.report.completed, 2);
@@ -466,7 +433,7 @@ TEST(ServingResilience, DeadlineMissAccounting)
 
     ServingResilience lax;
     lax.deadline_cycles = UINT64_MAX / 2;
-    ServingResult ok = run_serving(small_gpu(), serial_sim(), tiny_mlp(),
+    ServingResult ok = run_serving(small_gpu(), SimOptions{}, tiny_mlp(),
                                    at_cycles({0, 1000}), policy, {}, lax);
     EXPECT_EQ(ok.report.deadline_miss, 0);
     EXPECT_DOUBLE_EQ(ok.report.goodput, 1.0);
@@ -480,7 +447,7 @@ TEST(ServingResilience, ShedsArrivalsPastQueueDepth)
     ServingResilience res;
     res.shed_queue_depth = 2;
     ServingResult r =
-        run_serving(small_gpu(), serial_sim(), tiny_mlp(),
+        run_serving(small_gpu(), SimOptions{}, tiny_mlp(),
                     at_cycles({0, 0, 0, 0, 0}), policy, {}, res);
     EXPECT_EQ(r.report.requests, 5);
     EXPECT_EQ(r.report.completed, 2);
@@ -509,7 +476,7 @@ TEST(ServingResilience, HangKillRetryCompletes)
     res.batch_timeout_cycles = 50000;
     res.max_retries = 2;
     res.retry_backoff_cycles = 1000;
-    ServingResult r = run_serving(small_gpu(), serial_sim(), tiny_mlp(),
+    ServingResult r = run_serving(small_gpu(), SimOptions{}, tiny_mlp(),
                                   at_cycles({0}), policy, {}, res, faults);
     EXPECT_TRUE(r.faults_enabled);
     EXPECT_EQ(r.faults.hangs, 1u);
@@ -543,7 +510,7 @@ TEST(ServingResilience, RetryBudgetExhaustionDrops)
     res.batch_timeout_cycles = 20000;
     res.max_retries = 1;
     res.retry_backoff_cycles = 500;
-    ServingResult r = run_serving(small_gpu(), serial_sim(), tiny_mlp(),
+    ServingResult r = run_serving(small_gpu(), SimOptions{}, tiny_mlp(),
                                   at_cycles({0}), policy, {}, res, faults);
     EXPECT_EQ(r.report.completed, 0);
     EXPECT_EQ(r.report.dropped, 1);
@@ -554,42 +521,3 @@ TEST(ServingResilience, RetryBudgetExhaustionDrops)
     EXPECT_TRUE(r.report.request_records[0].dropped);
 }
 
-TEST(ServingResilience, FaultyServingIsBitIdenticalAcrossSimThreads)
-{
-    FaultSpec faults;
-    faults.enabled = true;
-    faults.disabled_sms = {0};
-    faults.ecc_prob = 0.02;
-    faults.ecc_extra_cycles = 60;
-    faults.hangs.push_back({"b0.", 1.0, 1});
-
-    StaticBatcher policy(2, 30000);
-    ServingResilience res;
-    res.deadline_cycles = 400000;
-    res.batch_timeout_cycles = 60000;
-    res.max_retries = 2;
-    res.retry_backoff_cycles = 2000;
-    std::vector<Request> trace = poisson_trace(5, 6, 20000.0);
-
-    SimOptions threaded;
-    threaded.sim_threads = 4;
-    ServingResult serial = run_serving(small_gpu(), serial_sim(),
-                                       tiny_mlp(), trace, policy, {}, res,
-                                       faults);
-    ServingResult par = run_serving(small_gpu(), threaded, tiny_mlp(),
-                                    trace, policy, {}, res, faults);
-    EXPECT_EQ(serial.report.killed_batches, par.report.killed_batches);
-    EXPECT_EQ(serial.report.retries, par.report.retries);
-    EXPECT_EQ(serial.report.deadline_miss, par.report.deadline_miss);
-    EXPECT_EQ(serial.faults.ecc_retries, par.faults.ecc_retries);
-    ASSERT_EQ(serial.report.request_records.size(),
-              par.report.request_records.size());
-    for (size_t i = 0; i < serial.report.request_records.size(); ++i) {
-        const RequestRecord& a = serial.report.request_records[i];
-        const RequestRecord& b = par.report.request_records[i];
-        EXPECT_EQ(a.admit_cycle, b.admit_cycle);
-        EXPECT_EQ(a.finish_cycle, b.finish_cycle);
-        EXPECT_EQ(a.retries, b.retries);
-        EXPECT_EQ(a.deadline_missed, b.deadline_missed);
-    }
-}

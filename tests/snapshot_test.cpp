@@ -3,7 +3,7 @@
  * Snapshot/restore correctness: a run forked from a Snapshot must be
  * bit-identical — every cycle stamp, memory counter, stall counter and
  * macro-latency sample — to the same run advanced without
- * interruption, for every sim-thread count and both main loops.  Also
+ * interruption, in both main loops.  Also
  * pins the failure modes (version/config/scheduler mismatch, queued
  * callbacks, idle capture), the reset audit (restoring onto a dirty
  * Gpu equals restoring onto a fresh one), and the sampled-SM
@@ -186,31 +186,6 @@ TEST(Snapshot, ForkedRunMatchesColdRun)
         Gpu fork(cfg, opts);
         fork.restore(snap);
         ASSERT_TRUE(fork.run_active());
-        expect_identical(base, fork.run());
-    }
-}
-
-TEST(Snapshot, ForkRunsIdenticallyAtEveryThreadCount)
-{
-    // A snapshot captured by a serial run must resume bit-identically
-    // under the parallel tick (and vice versa): SimOptions other than
-    // the scheduler are free to differ between capture and restore.
-    GpuConfig cfg = mem_bound_config(8);
-    SimOptions serial;
-    EngineStats base = cold_gemm(cfg, serial, 128);
-
-    Gpu gpu(cfg, serial);
-    enqueue_gemm(gpu, 128);
-    gpu.run_until(base.cycles / 2);
-    ASSERT_TRUE(gpu.run_active());
-    Snapshot snap = gpu.snapshot();
-
-    for (int threads : {2, 4}) {
-        SCOPED_TRACE("sim_threads=" + std::to_string(threads));
-        SimOptions par = serial;
-        par.sim_threads = threads;
-        Gpu fork(cfg, par);
-        fork.restore(snap);
         expect_identical(base, fork.run());
     }
 }

@@ -3,10 +3,13 @@
  * Tests for the stream-aware execution engine: compatibility of the
  * single-launch wrapper, in-stream ordering, cross-stream overlap,
  * per-kernel statistics attribution, warm-cache semantics within a
- * run, and the event-driven main loop's cycle skipping.
+ * run, the event-driven main loop's cycle skipping, and the
+ * single-thread SimOptions contract.
  */
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 #include "kernels/gemm_kernels.h"
 #include "sim/gpu.h"
@@ -36,6 +39,21 @@ small_gemm(Gpu* gpu, GemmProblem<float>* prob, bool shared = false,
     if (name)
         kd.name = name;
     return kd;
+}
+
+TEST(Engine, OnlyOneSimThreadIsAccepted)
+{
+    // One simulation runs on one thread: sim_threads = 1 (the default)
+    // constructs, anything else is rejected rather than ignored.
+    SimOptions serial;
+    serial.sim_threads = 1;
+    EXPECT_NO_THROW(Gpu(small_titan_v(2), serial));
+    for (int threads : {0, 2, 4}) {
+        SimOptions opts;
+        opts.sim_threads = threads;
+        EXPECT_THROW(Gpu(small_titan_v(2), opts), std::invalid_argument)
+            << threads;
+    }
 }
 
 TEST(Engine, RunMatchesCompatLaunch)

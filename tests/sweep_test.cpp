@@ -3,7 +3,7 @@
  * Sweep-driver tests: schema validation of the "sweep" key, point
  * materialization, attach_sweep (the --grid form), and the central
  * runtime contract — every forked point's statistics are bit-identical
- * to a cold run of prefix + point from cycle 0, at every thread count.
+ * to a cold run of prefix + point from cycle 0, serial or point-parallel.
  */
 
 #include <gtest/gtest.h>
@@ -209,30 +209,27 @@ TEST(SweepParse, AttachSweepMatchesInline)
     EXPECT_THROW(attach_sweep(&base, grid, "grid.json"), ScenarioError);
 }
 
-TEST(SweepRun, ForkedMatchesColdAtEveryThreadCount)
+TEST(SweepRun, ForkedMatchesColdAtEveryJobCount)
 {
     Scenario sc = parse_scenario_text(sweep_text());
     std::vector<ScenarioResult> cold =
-        run_sweep(sc, /*jobs=*/1, /*sim_threads=*/-1,
-                  /*detailed_sms=*/-1, /*cold_sweep=*/true);
+        run_sweep(sc, /*jobs=*/1, /*detailed_sms=*/-1, /*cold_sweep=*/true);
     ASSERT_EQ(cold.size(), 2u);
     for (const ScenarioResult& r : cold) {
         EXPECT_FALSE(r.sweep_forked);
         EXPECT_TRUE(r.passed) << r.name << ": " << r.error;
     }
 
-    // Forked, serial and threaded, point-parallel and not: all four
-    // configurations must reproduce the cold statistics exactly.
+    // Forked, point-parallel and not: both must reproduce the cold
+    // statistics exactly.
     for (int jobs : {1, 2}) {
-        for (int threads : {-1, 2}) {
-            std::vector<ScenarioResult> forked =
-                run_sweep(sc, jobs, threads, -1, false);
-            ASSERT_EQ(forked.size(), cold.size());
-            for (size_t i = 0; i < forked.size(); ++i) {
-                EXPECT_TRUE(forked[i].sweep_forked);
-                EXPECT_EQ(forked[i].sweep_point, sc.sweep.points[i].name);
-                expect_point_identical(forked[i], cold[i]);
-            }
+        std::vector<ScenarioResult> forked =
+            run_sweep(sc, jobs, /*detailed_sms=*/-1, /*cold_sweep=*/false);
+        ASSERT_EQ(forked.size(), cold.size());
+        for (size_t i = 0; i < forked.size(); ++i) {
+            EXPECT_TRUE(forked[i].sweep_forked);
+            EXPECT_EQ(forked[i].sweep_point, sc.sweep.points[i].name);
+            expect_point_identical(forked[i], cold[i]);
         }
     }
 }

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Fault-injection determinism gate.
 
-Runs simrunner over the fault-injected scenarios twice — fully serial
-(``--jobs 1 --sim-threads 1``) and parallel (``--jobs J --sim-threads
-N``) — and requires byte-identical batch reports modulo wall-time
-fields (report_diff.py).  This is the end-to-end proof that injected
+Runs simrunner over the fault-injected scenarios twice — serial
+(``--jobs 1``) and parallel (``--jobs J``) — and requires
+byte-identical batch reports modulo wall-time fields
+(report_diff.py).  This is the end-to-end proof that injected
 faults are deterministic: disabled/degraded SM picks, kernel
 hang/slowdown rule matches, ECC-retry decisions, serving-loop kills,
 retries, sheds and deadline misses must all land on the same cycles
@@ -18,7 +18,7 @@ faulty scenario would otherwise pass vacuously.
 
 Usage:
     tools/check_fault_identity.py <simrunner> <scenarios...>
-        [--threads 4] [--jobs 2] [--filter SUBSTR] [--workdir DIR]
+        [--jobs 2] [--filter SUBSTR] [--workdir DIR]
 
 Exit status: 0 on identity (and both runs passing), 1 otherwise.
 """
@@ -32,9 +32,9 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
-def run_leg(simrunner, inputs, jobs, threads, report):
+def run_leg(simrunner, inputs, jobs, report):
     cmd = [simrunner, "--quiet", "--jobs", str(jobs),
-           "--sim-threads", str(threads), "--report", report] + inputs
+           "--report", report] + inputs
     print("+", " ".join(cmd), flush=True)
     return subprocess.call(cmd)
 
@@ -69,7 +69,6 @@ def main():
     parser.add_argument("simrunner")
     parser.add_argument("inputs", nargs="+",
                         help="scenario files or directories")
-    parser.add_argument("--threads", type=int, default=4)
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--filter", default=None, metavar="SUBSTR",
                         help="only scenarios whose filename contains "
@@ -87,19 +86,18 @@ def main():
 
     os.makedirs(args.workdir, exist_ok=True)
     serial = os.path.join(args.workdir, "report_serial.json")
-    parallel = os.path.join(
-        args.workdir, "report_j{}t{}.json".format(args.jobs, args.threads))
+    parallel = os.path.join(args.workdir,
+                            "report_j{}.json".format(args.jobs))
 
-    rc_serial = run_leg(args.simrunner, inputs, 1, 1, serial)
-    rc_parallel = run_leg(args.simrunner, inputs, args.jobs, args.threads,
-                          parallel)
+    rc_serial = run_leg(args.simrunner, inputs, 1, serial)
+    rc_parallel = run_leg(args.simrunner, inputs, args.jobs, parallel)
     rc_diff = subprocess.call(
         [sys.executable, os.path.join(HERE, "report_diff.py"), serial,
          parallel])
 
     if rc_diff != 0:
-        print("check_fault_identity: FAILED — jobs={} sim_threads={} "
-              "diverged from serial".format(args.jobs, args.threads))
+        print("check_fault_identity: FAILED — jobs={} diverged from "
+              "serial".format(args.jobs))
         return 1
     if rc_serial != 0 or rc_parallel != 0:
         print("check_fault_identity: scenario failures (serial rc={}, "
@@ -111,8 +109,7 @@ def main():
               "fault injection or resilience (vacuous gate)")
         return 1
     print("check_fault_identity: OK — {} fault/resilience scenario(s) "
-          "bit-identical across jobs={} x sim_threads={}".format(
-              faulty, args.jobs, args.threads))
+          "bit-identical across jobs={}".format(faulty, args.jobs))
     return 0
 
 

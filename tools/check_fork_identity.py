@@ -12,10 +12,7 @@ sweep.
 
 Usage:
     tools/check_fork_identity.py <simrunner> <scenarios...>
-        [--threads N] [--workdir DIR]
-
-``--threads`` applies the same --sim-threads to both legs, so the gate
-can double as a sampled run of the parallel core over the sweep path.
+        [--workdir DIR]
 
 Exit status: 0 on identity (and both runs passing), 1 otherwise.
 """
@@ -28,9 +25,8 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
-def run_leg(simrunner, inputs, report, threads, cold):
-    cmd = [simrunner, "--quiet", "--jobs", "1",
-           "--sim-threads", str(threads), "--report", report]
+def run_leg(simrunner, inputs, report, cold):
+    cmd = [simrunner, "--quiet", "--jobs", "1", "--report", report]
     if cold:
         cmd.append("--cold-sweep")
     cmd += inputs
@@ -44,17 +40,14 @@ def main():
     parser.add_argument("simrunner")
     parser.add_argument("inputs", nargs="+",
                         help="sweep scenario files or directories")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--workdir", default=".")
     args = parser.parse_args()
 
     forked = os.path.join(args.workdir, "report_forked.json")
     cold = os.path.join(args.workdir, "report_cold.json")
 
-    rc_forked = run_leg(args.simrunner, args.inputs, forked, args.threads,
-                        cold=False)
-    rc_cold = run_leg(args.simrunner, args.inputs, cold, args.threads,
-                      cold=True)
+    rc_forked = run_leg(args.simrunner, args.inputs, forked, cold=False)
+    rc_cold = run_leg(args.simrunner, args.inputs, cold, cold=True)
     # Scenario failures fail the gate too, but only after the diff ran:
     # an identity break plus a red scenario should report both.
     rc_diff = subprocess.call(

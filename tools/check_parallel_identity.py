@@ -1,22 +1,20 @@
 #!/usr/bin/env python3
-"""Serial-vs-threaded identity gate for the scenario suite.
+"""Serial-vs-parallel identity gate for the scenario suite.
 
-Runs simrunner twice over the same scenario set — ``--sim-threads 1``
-and ``--sim-threads N`` — and requires the two batch reports to be
-identical modulo wall-time fields (see report_diff.py).  This is the
-end-to-end proof that the parallel simulation core is deterministic:
-every cycle stamp, stall counter, memory counter, event stamp and
-assertion value must match across thread counts, for every scenario in
+Runs simrunner twice over the same scenario set — ``--jobs 1`` and
+``--jobs N`` — and requires the two batch reports to be identical
+modulo wall-time fields (see report_diff.py).  This is the end-to-end
+proof that running scenarios (and sweep points) side by side changes
+nothing: every cycle stamp, stall counter, memory counter, event stamp
+and assertion value must match the serial run, for every scenario in
 the suite.
 
-The parallel leg can additionally raise ``--jobs`` (process-level
-scenario parallelism) so the gate covers the jobs x sim-threads grid,
-and ``--filter`` narrows a directory input to scenarios whose filename
+``--filter`` narrows a directory input to scenarios whose filename
 contains a substring (e.g. ``--filter serving_``).
 
 Usage:
     tools/check_parallel_identity.py <simrunner> <scenarios...>
-        [--threads 4] [--jobs 1] [--filter SUBSTR] [--workdir DIR]
+        [--jobs 4] [--filter SUBSTR] [--workdir DIR]
 
 Exit status: 0 on identity (and both runs passing), 1 otherwise.
 """
@@ -29,9 +27,9 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
-def run_leg(simrunner, inputs, jobs, threads, report):
+def run_leg(simrunner, inputs, jobs, report):
     cmd = [simrunner, "--quiet", "--jobs", str(jobs),
-           "--sim-threads", str(threads), "--report", report] + inputs
+           "--report", report] + inputs
     print("+", " ".join(cmd), flush=True)
     return subprocess.call(cmd)
 
@@ -52,14 +50,13 @@ def expand_filtered(inputs, substr):
 
 def main():
     parser = argparse.ArgumentParser(
-        description="serial-vs-threaded scenario report identity")
+        description="serial-vs-parallel scenario report identity")
     parser.add_argument("simrunner")
     parser.add_argument("inputs", nargs="+",
                         help="scenario files or directories")
-    parser.add_argument("--threads", type=int, default=4)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="process-level --jobs for the parallel leg "
-                             "(the serial leg always uses 1)")
+    parser.add_argument("--jobs", type=int, default=4,
+                        help="--jobs for the parallel leg (the serial "
+                             "leg always uses 1)")
     parser.add_argument("--filter", default=None, metavar="SUBSTR",
                         help="only scenarios whose filename contains "
                              "SUBSTR")
@@ -76,28 +73,27 @@ def main():
 
     os.makedirs(args.workdir, exist_ok=True)
     serial = os.path.join(args.workdir, "report_serial.json")
-    threaded = os.path.join(args.workdir,
-                            "report_t{}.json".format(args.threads))
+    parallel = os.path.join(args.workdir,
+                            "report_j{}.json".format(args.jobs))
 
-    rc_serial = run_leg(args.simrunner, inputs, 1, 1, serial)
-    rc_threaded = run_leg(args.simrunner, inputs, args.jobs, args.threads,
-                          threaded)
+    rc_serial = run_leg(args.simrunner, inputs, 1, serial)
+    rc_parallel = run_leg(args.simrunner, inputs, args.jobs, parallel)
     # Scenario failures fail the gate too, but only after the diff ran:
     # an identity break plus a red scenario should report both.
     rc_diff = subprocess.call(
         [sys.executable, os.path.join(HERE, "report_diff.py"), serial,
-         threaded])
+         parallel])
 
     if rc_diff != 0:
-        print("check_parallel_identity: FAILED — sim_threads={} diverged "
-              "from serial".format(args.threads))
+        print("check_parallel_identity: FAILED — jobs={} diverged from "
+              "serial".format(args.jobs))
         return 1
-    if rc_serial != 0 or rc_threaded != 0:
+    if rc_serial != 0 or rc_parallel != 0:
         print("check_parallel_identity: scenario failures (serial rc={}, "
-              "threaded rc={})".format(rc_serial, rc_threaded))
+              "parallel rc={})".format(rc_serial, rc_parallel))
         return 1
-    print("check_parallel_identity: OK — sim_threads={} bit-identical to "
-          "serial across the suite".format(args.threads))
+    print("check_parallel_identity: OK — jobs={} bit-identical to serial "
+          "across the suite".format(args.jobs))
     return 0
 
 

@@ -39,7 +39,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
-BASE_IGNORE = ["wall_ms", "ticks_per_sec", "sim_threads", "jobs", "sim",
+BASE_IGNORE = ["wall_ms", "ticks_per_sec", "jobs", "sim",
                "file", "events", "assertions", "ticks", "skipped_cycles"]
 
 # (scenario basename, extra ignore keys)

@@ -3,13 +3,13 @@
 
 The simulator is deterministic: two runs of the same scenario suite
 must produce byte-identical reports except for host-speed telemetry.
-This is the comparator behind the serial-vs-threaded CI leg — a run
-with ``--sim-threads N`` must match a ``--sim-threads 1`` run on every
-cycle count, stall counter, memory counter and assertion value.
+This is the comparator behind the serial-vs-parallel CI legs — a run
+with ``--jobs N`` must match a ``--jobs 1`` run on every cycle count,
+stall counter, memory counter and assertion value.
 
 Ignored keys (wall-clock shaped, legitimately run-dependent):
-``wall_ms``, ``ticks_per_sec``, ``sim_threads``, ``jobs``, and each
-result's ``sim`` telemetry block wholesale.
+``wall_ms``, ``ticks_per_sec``, ``jobs``, and each result's ``sim``
+telemetry block wholesale.
 
 Usage:
     tools/report_diff.py <a.json> <b.json> [--ignore key ...]
@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 
-DEFAULT_IGNORE = ("wall_ms", "ticks_per_sec", "sim_threads", "jobs", "sim")
+DEFAULT_IGNORE = ("wall_ms", "ticks_per_sec", "jobs", "sim")
 
 
 def strip(node, ignore):

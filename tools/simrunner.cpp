@@ -2,19 +2,15 @@
  * @file
  * simrunner: the scenario driver CLI.  Loads declarative JSON
  * scenarios (files or directories), runs them on a thread-pool batch
- * runner — one simulator instance per worker — and prints per-scenario
- * tables plus an aggregate summary.  Optionally writes the full batch
- * report as JSON.
+ * runner — one single-threaded simulator instance per worker — and
+ * prints per-scenario tables plus an aggregate summary.  Optionally
+ * writes the full batch report as JSON.
  *
  * Usage:
  *   simrunner [options] <scenario.json | dir>...
- *     --jobs N        batch worker threads (default: hardware
- *                     concurrency); shares one thread budget with
- *                     --sim-threads, so the two never oversubscribe
- *     --sim-threads N worker threads *inside* each simulation
- *                     (0 = hardware concurrency); overrides the
- *                     scenarios' sim.sim_threads.  Results are
- *                     bit-identical for every value
+ *     --jobs N        scenarios (and sweep points) in flight at once
+ *                     (default: the CPUs this process may run on).
+ *                     Results are bit-identical for every value
  *     --report FILE   write the aggregate JSON report to FILE
  *     --filter SUBS   only run scenarios whose name contains any of
  *                     the comma-separated patterns (repeatable)
@@ -52,7 +48,6 @@
  *
  *   ./build/simrunner scenarios/                 # the curated suite
  *   ./build/simrunner --jobs 4 scenarios/ --report report.json
- *   ./build/simrunner --sim-threads 4 scenarios/ # parallel sim core
  *   ./build/simrunner --sweep base.json --grid grid.json
  */
 
@@ -63,6 +58,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cpus.h"
 #include "common/table.h"
 #include "driver/runner.h"
 #include "driver/scenario.h"
@@ -76,8 +72,7 @@ namespace {
 
 struct Options
 {
-    int jobs = 0;         ///< 0 = hardware concurrency.
-    int sim_threads = -1; ///< -1 = per-scenario sim.sim_threads.
+    int jobs = 0;         ///< 0 = usable_cpus().
     std::string report_path;
     /** --filter patterns (comma-separated and/or repeated); a
      *  scenario runs when its name contains ANY pattern. */
@@ -106,11 +101,8 @@ usage(std::FILE* to)
     std::fprintf(
         to,
         "usage: simrunner [options] <scenario.json | dir>...\n"
-        "  --jobs N        batch worker threads (default: hardware\n"
-        "                  concurrency; clamped so jobs x sim-threads\n"
-        "                  stays within the host's cores)\n"
-        "  --sim-threads N worker threads inside each simulation\n"
-        "                  (0 = hardware concurrency; results are\n"
+        "  --jobs N        scenarios in flight at once (default: the\n"
+        "                  CPUs this process may run on; results are\n"
         "                  bit-identical for every value)\n"
         "  --report FILE   write the aggregate JSON report to FILE\n"
         "  --filter SUBS   only run scenarios whose name contains any\n"
@@ -157,16 +149,6 @@ parse_args(int argc, char** argv, Options* opts)
             opts->jobs = std::atoi(v);
             if (opts->jobs < 1) {
                 std::fprintf(stderr, "simrunner: bad --jobs value\n");
-                return false;
-            }
-        } else if (arg == "--sim-threads") {
-            const char* v = value();
-            if (!v)
-                return false;
-            opts->sim_threads = std::atoi(v);
-            if (opts->sim_threads < 0 ||
-                (opts->sim_threads == 0 && std::strcmp(v, "0") != 0)) {
-                std::fprintf(stderr, "simrunner: bad --sim-threads value\n");
                 return false;
             }
         } else if (arg == "--report") {
@@ -417,7 +399,7 @@ main(int argc, char** argv)
     if (!parse_args(argc, argv, &opts))
         return 1;
     if (opts.jobs == 0)
-        opts.jobs = hardware_threads();
+        opts.jobs = usable_cpus();
 
     std::vector<driver::Scenario> scenarios;
     int load_failures = 0;
@@ -509,7 +491,6 @@ main(int argc, char** argv)
     driver::BatchOptions batch;
     batch.jobs = opts.jobs;
     batch.fail_fast = opts.fail_fast;
-    batch.sim_threads = opts.sim_threads;
     batch.cold_sweep = opts.cold_sweep;
     batch.detailed_sms = opts.detailed_sms;
     batch.timeout_ms = opts.timeout_ms;
@@ -526,15 +507,9 @@ main(int argc, char** argv)
         batch.replay.mode = opts.replay_mode;
         batch.replay.cache = &replay_cache;
     }
-    int jobs = driver::effective_jobs(batch, scenarios);
-    std::printf("running %zu scenario(s) on %d batch worker(s)",
-                scenarios.size(), jobs);
-    if (jobs < opts.jobs)
-        std::printf(" (clamped from %d: shared budget with sim threads)",
-                    opts.jobs);
-    if (opts.sim_threads >= 0)
-        std::printf(", %d sim thread(s) per scenario", opts.sim_threads);
-    std::printf("%s\n", opts.fail_fast ? " (fail-fast)" : "");
+    std::printf("running %zu scenario(s) on %d batch worker(s)%s\n",
+                scenarios.size(), opts.jobs,
+                opts.fail_fast ? " (fail-fast)" : "");
     driver::BatchReport report = driver::run_batch(scenarios, batch);
 
     for (const driver::ScenarioResult& r : report.results)
@@ -545,10 +520,9 @@ main(int argc, char** argv)
     // Suppressed by --quiet (which promises summary-and-failures only);
     // the JSON report carries per-scenario wall_ms either way.
     if (!opts.quiet) {
-        char wall[32], tps[32], thr[16];
+        char wall[32], tps[32];
         TextTable agg;
-        agg.set_header({"scenario", "status", "wall ms", "ticks/s",
-                        "sim thr"});
+        agg.set_header({"scenario", "status", "wall ms", "ticks/s"});
         // Cap the name column so one long scenario name cannot push
         // the numeric columns past the terminal edge and wrap rows
         // out of alignment.
@@ -556,10 +530,9 @@ main(int argc, char** argv)
         for (const driver::ScenarioResult& r : report.results) {
             std::snprintf(wall, sizeof(wall), "%.1f", r.wall_ms);
             std::snprintf(tps, sizeof(tps), "%.3g", r.ticks_per_sec);
-            std::snprintf(thr, sizeof(thr), "%d", r.sim_threads);
             agg.add_row({r.name,
                          r.skipped ? "SKIP" : (r.passed ? "PASS" : "FAIL"),
-                         wall, r.skipped ? "-" : tps, thr});
+                         wall, r.skipped ? "-" : tps});
         }
         std::printf("\n%s", agg.render().c_str());
     }
