@@ -71,6 +71,26 @@ SM::check_fits(const GpuConfig& cfg, const KernelDesc& k)
     }
 }
 
+namespace {
+
+/** Throw SimError if an instruction of @p prog (a warp program of
+ *  @p k) names a register range the scoreboard cannot track (one
+ *  running past r255): kernel input, not an internal invariant. */
+void
+check_program(const KernelDesc& k, const WarpProgram& prog)
+{
+    for (size_t pc = 0; pc < prog.size(); ++pc) {
+        if (!Scoreboard::operands_in_range(prog[pc]))
+            throw SimError(detail::format(
+                "kernel %s: instruction %zu (%s) names registers past "
+                "r%d",
+                k.name.c_str(), pc, prog[pc].disasm().c_str(),
+                Scoreboard::kNumRegs - 1));
+    }
+}
+
+}  // namespace
+
 bool
 SM::can_accept(const KernelDesc& k) const
 {
@@ -112,6 +132,7 @@ SM::launch_cta(GridRun* grid, int cta_id, uint64_t now)
         w->prog = k.trace(cta_id, wi);
         TCSIM_CHECK(!w->prog.empty());
         TCSIM_CHECK(w->prog.back().op == Opcode::kExit);
+        check_program(k, w->prog);
         if (k.functional)
             w->regs = std::make_unique<WarpRegState>(k.regs_per_thread);
         w->grid = grid;

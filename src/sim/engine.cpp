@@ -61,6 +61,7 @@ ExecutionEngine::prepare(const std::vector<Stream*>& streams)
     }
     absorb_streams(streams);
     validate_and_size();
+    streams_dirty_ = true;
     return true;
 }
 
@@ -141,6 +142,7 @@ ExecutionEngine::promote_streams(uint64_t now)
 {
     RunState& rs = *run_;
     bool any_op = false;
+    streams_dirty_ = false;
     // Fixpoint: a record completed on one stream can unblock a wait on
     // another in the same tick, so rescan until nothing changes.
     for (bool progress = true; progress;) {
@@ -647,13 +649,15 @@ ExecutionEngine::step(uint64_t bound)
 {
     RunState& rs = *run_;
     uint64_t now = rs.now;
-    bool ops = promote_streams(now);
+    bool ops = streams_dirty_ && promote_streams(now);
     if (callbacks_fired_) {
         // A host callback may have enqueued work — possibly onto a
         // stream created inside the callback.  Re-fetch the live
         // stream set, validate the new launches, and grow the SM
-        // array before this tick dispatches anything.
+        // array before this tick dispatches anything; the new
+        // streams are promoted next tick.
         callbacks_fired_ = false;
+        streams_dirty_ = true;
         absorb_streams(stream_source_ ? stream_source_() : entry_streams_);
         validate_and_size();
     }
@@ -762,9 +766,12 @@ ExecutionEngine::step(uint64_t bound)
         rs.last_finish = std::max(rs.last_finish, l->grid.finish_cycle);
         rs.stats.kernels.push_back(finalize(*l));
         finish_replay(*l, rs.stats.kernels.back());
-        for (StreamRun& sr : rs.stream_runs)
-            if (sr.live == l.get())
+        for (StreamRun& sr : rs.stream_runs) {
+            if (sr.live == l.get()) {
                 sr.live = nullptr;
+                streams_dirty_ = true;
+            }
+        }
         retiring_.push_back(&l->grid);
         l->retired = true;
         retired = true;

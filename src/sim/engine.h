@@ -634,6 +634,13 @@ class ExecutionEngine
     std::vector<Stream*> entry_streams_;
     /** A host callback ran during the last promote pass. */
     bool callbacks_fired_ = false;
+    /** Stream state may have changed since the last promote pass.  A
+     *  pass leaves the streams at a fixpoint that only new ops or
+     *  streams (host enqueues, kill_stream and restores all reach the
+     *  run through prepare(); callbacks mid-run) or a retired live
+     *  launch can move, so step() skips promote_streams while this is
+     *  false. */
+    bool streams_dirty_ = true;
 };
 
 }  // namespace tcsim

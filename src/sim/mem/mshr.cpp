@@ -17,18 +17,25 @@ MshrFile::MshrFile(int entries, int line_bytes, int sector_bytes)
     // Full reservation up front: entry pointers handed out by query()
     // stay valid across the push_back in track().
     active_.reserve(static_cast<size_t>(entries));
+    lines_.reserve(static_cast<size_t>(entries));
 }
 
 void
 MshrFile::prune(uint64_t now)
 {
+    if (now < next_free_)
+        return;
     // An entry frees once its last sector fill has arrived.  Order is
     // irrelevant (lookup is by line), so swap-erase.
+    next_free_ = UINT64_MAX;
     for (size_t i = 0; i < active_.size();) {
         if (active_[i].last_fill <= now) {
             active_[i] = active_.back();
             active_.pop_back();
+            lines_[i] = lines_.back();
+            lines_.pop_back();
         } else {
+            next_free_ = std::min(next_free_, active_[i].last_fill);
             ++i;
         }
     }
@@ -37,9 +44,9 @@ MshrFile::prune(uint64_t now)
 MshrFile::Entry*
 MshrFile::find(uint64_t line)
 {
-    for (Entry& e : active_)
-        if (e.line == line)
-            return &e;
+    for (size_t i = 0; i < lines_.size(); ++i)
+        if (lines_[i] == line)
+            return &active_[i];
     return nullptr;
 }
 
@@ -86,13 +93,15 @@ MshrFile::track(uint64_t addr, const Lookup& found, uint64_t fill_done)
         TCSIM_CHECK(active_.size() < static_cast<size_t>(entries_));
         active_.push_back(Entry{});
         e = &active_.back();
-        e->line = addr / static_cast<uint64_t>(line_bytes_);
+        lines_.push_back(addr / static_cast<uint64_t>(line_bytes_));
         peak_ = std::max(peak_, active_.size());
     }
     size_t sector = (addr % static_cast<uint64_t>(line_bytes_)) /
                     static_cast<uint64_t>(sector_bytes_);
     e->sector_fill[sector] = std::max(e->sector_fill[sector], fill_done);
     e->last_fill = std::max(e->last_fill, fill_done);
+    // last_fill only grows, so the bound stays valid for merged lines.
+    next_free_ = std::min(next_free_, e->last_fill);
 }
 
 size_t
@@ -106,6 +115,8 @@ void
 MshrFile::reset()
 {
     active_.clear();
+    lines_.clear();
+    next_free_ = UINT64_MAX;
     peak_ = 0;
     merges_ = 0;
 }
@@ -114,8 +125,9 @@ void
 MshrFile::save_state(SnapshotWriter& w) const
 {
     w.u64(active_.size());
-    for (const Entry& e : active_) {
-        w.u64(e.line);
+    for (size_t i = 0; i < active_.size(); ++i) {
+        const Entry& e = active_[i];
+        w.u64(lines_[i]);
         for (uint64_t fill : e.sector_fill)
             w.u64(fill);
         w.u64(e.last_fill);
@@ -131,13 +143,16 @@ MshrFile::load_state(SnapshotReader& r)
     if (n > static_cast<uint64_t>(entries_))
         throw SnapshotError("MSHR occupancy exceeds file size");
     active_.clear();
+    lines_.clear();
+    next_free_ = UINT64_MAX;
     for (uint64_t i = 0; i < n; ++i) {
+        lines_.push_back(r.u64());
         Entry e;
-        e.line = r.u64();
         for (uint64_t& fill : e.sector_fill)
             fill = r.u64();
         e.last_fill = r.u64();
         active_.push_back(e);
+        next_free_ = std::min(next_free_, e.last_fill);
     }
     peak_ = r.u64();
     merges_ = r.u64();

@@ -11,7 +11,9 @@
  * the access is refused — the refusal propagates through the SM's MIO
  * queue back to the issuing warp as a kMshrFull stall.  Entries are
  * pruned lazily against the query cycle (an entry frees once its last
- * sector fill has arrived), so the file has no autonomous clock.
+ * sector fill has arrived), so the file has no autonomous clock; a
+ * lower bound on the earliest fill lets queries before it skip the
+ * prune pass.
  */
 
 #include <array>
@@ -91,15 +93,15 @@ class MshrFile
 
     void reset();
 
-    /** Serialize/restore active entries (in scan order — find() walks
-     *  the vector linearly, so order is behaviour) and counters. */
+    /** Serialize/restore active entries and counters.  Each line holds
+     *  at most one entry, so lookups do not depend on entry order; only
+     *  the snapshot bytes do. */
     void save_state(SnapshotWriter& w) const;
     void load_state(SnapshotReader& r);
 
   private:
     struct Entry
     {
-        uint64_t line = 0;
         /** Fill-arrival cycle per sector; 0 = no fill in flight. */
         std::array<uint64_t, 8> sector_fill{};
         /** Latest fill of the entry; the entry frees when it passes. */
@@ -113,6 +115,11 @@ class MshrFile
     int line_bytes_;
     int sector_bytes_;
     std::vector<Entry> active_;
+    /** Line address of active_[i], kept apart for a compact scan. */
+    std::vector<uint64_t> lines_;
+    /** Lower bound on every active entry's last_fill: no entry frees
+     *  before it, so prune() has nothing to do while now < next_free_. */
+    uint64_t next_free_ = UINT64_MAX;
     size_t peak_ = 0;
     uint64_t merges_ = 0;
 };

@@ -19,7 +19,8 @@ namespace tcsim {
  * number of *distinct* 32-bit words any single bank must serve
  * (lanes reading the same word broadcast).  1 = conflict free.
  * Accesses wider than 4 bytes are split into 4-byte phases, matching
- * hardware behaviour for LDS.64/LDS.128.
+ * hardware behaviour for LDS.64/LDS.128; every phase has the same
+ * degree, and the caller charges one pass per phase.
  */
 int shared_bank_conflict_degree(const Instruction& inst, int num_banks = 32,
                                 int iter = 0);
