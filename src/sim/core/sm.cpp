@@ -242,11 +242,16 @@ SM::mio_push(int subcore, int warp_slot, const Instruction* inst, int iter)
 void
 SM::process_mio()
 {
+    // A pop or a new global block reason can turn a refused mio_push
+    // into an accepted one (or change its stall reason).
+    bool mio_changed = false;
+    const StallReason prev_block = mio_block_reason_;
     // Shared-memory pipe.
     if (!mio_shared_.empty() && now_ >= mio_shared_free_) {
         MioEntry entry = mio_shared_.front();
         mio_shared_.pop_front();
         progress_ = true;
+        mio_changed = true;
         const Instruction& inst = *entry.inst;
         int degree = shared_bank_conflict_degree(inst, cfg_.shared_mem_banks,
                                                  entry.iter);
@@ -303,8 +308,12 @@ SM::process_mio()
             subcores_[static_cast<size_t>(entry.subcore)]->register_writeback(
                 done, entry.warp_slot, entry.inst, entry.iter);
             mio_global_.pop_front();
+            mio_changed = true;
         }
     }
+    if (mio_changed || mio_block_reason_ != prev_block)
+        for (auto& sc : subcores_)
+            sc->mio_changed();
 }
 
 StallReason

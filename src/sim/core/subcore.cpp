@@ -34,6 +34,7 @@ SubCore::add_warp(std::unique_ptr<Warp> warp)
         slot = static_cast<int>(warps_.size()) - 1;
     }
     active_.push_back(slot);
+    stalled_ = false;
     return slot;
 }
 
@@ -46,9 +47,13 @@ SubCore::busy() const
 bool
 SubCore::do_writebacks(uint64_t now)
 {
+    if (now < next_done_)
+        return false;
     bool completed = false;
+    uint64_t next = UINT64_MAX;
     for (size_t i = 0; i < inflight_.size();) {
         if (inflight_[i].done > now) {
+            next = std::min(next, inflight_[i].done);
             ++i;
             continue;
         }
@@ -71,6 +76,9 @@ SubCore::do_writebacks(uint64_t now)
         }
         maybe_finish_warp(entry.warp_slot);
     }
+    next_done_ = next;
+    if (completed)
+        stalled_ = false;
     return completed;
 }
 
@@ -104,6 +112,7 @@ SubCore::release_barrier(int warp_slot)
     Warp& w = *warps_[warp_slot];
     if (w.state == WarpState::kAtBarrier)
         w.state = WarpState::kReady;
+    stalled_ = false;
 }
 
 bool
@@ -113,8 +122,28 @@ SubCore::try_issue(uint64_t now)
         note_stall(StallReason::kEmpty, 1, nullptr);
         return false;
     }
+    // While the memo holds, nothing the last poll read has changed: it
+    // would fail again on the same warp for the same reason.
+    if (!stalled_ || now >= stall_wake_) {
+        if (poll_warps(now))
+            return true;
+        stalled_ = true;
+        stall_wake_ = UINT64_MAX;
+        for (uint64_t t :
+             {fp32_.next_free(), int_.next_free(), tc_.next_ready()})
+            if (t > now)
+                stall_wake_ = std::min(stall_wake_, t);
+    }
+    note_stall(last_block_, 1, last_block_grid_);
+    return false;
+}
+
+bool
+SubCore::poll_warps(uint64_t now)
+{
     last_block_ = StallReason::kDrained;
     last_block_grid_ = nullptr;
+    mio_refused_ = false;
 
     if (policy_ == SchedulerPolicy::kGto) {
         // Greedy: stay with the last issued warp while it can issue.
@@ -129,7 +158,6 @@ SubCore::try_issue(uint64_t now)
             if (try_issue_warp(slot, now))
                 return true;
         }
-        note_stall(last_block_, 1, last_block_grid_);
         return false;
     }
 
@@ -143,7 +171,6 @@ SubCore::try_issue(uint64_t now)
                 return true;
             }
         }
-        note_stall(last_block_, 1, last_block_grid_);
         return false;
     }
 
@@ -172,16 +199,13 @@ SubCore::try_issue(uint64_t now)
             return true;
         }
     }
-    note_stall(last_block_, 1, last_block_grid_);
     return false;
 }
 
 uint64_t
 SubCore::next_event(uint64_t now) const
 {
-    uint64_t e = UINT64_MAX;
-    for (const auto& f : inflight_)
-        e = std::min(e, f.done);
+    uint64_t e = next_done_;
     if (!active_.empty()) {
         for (const ExecUnit* u : {&fp32_, &int_, &fp64_, &mufu_})
             if (u->next_free() > now)
@@ -251,6 +275,7 @@ SubCore::try_issue_warp(int slot, uint64_t now)
         if (block != StallReason::kNone) {
             last_block_ = block;
             last_block_grid_ = w.grid;
+            mio_refused_ = true;
             return false;
         }
         scoreboard_.issue(slot, inst);
@@ -342,8 +367,9 @@ SubCore::register_writeback(uint64_t done, int warp_slot,
                             const Instruction* inst, int iter)
 {
     // Writebacks at `now` must still complete; nudge to the next cycle.
-    inflight_.push_back(InFlight{std::max(done, sm_->now() + 1), warp_slot,
-                                 inst, iter});
+    done = std::max(done, sm_->now() + 1);
+    inflight_.push_back(InFlight{done, warp_slot, inst, iter});
+    next_done_ = std::min(next_done_, done);
 }
 
 namespace {
@@ -494,6 +520,9 @@ SubCore::load_state(SnapshotReader& r, const std::vector<GridRun*>& grids)
     mufu_.load_state(r);
     tc_.load_state(r);
     inflight_.clear();
+    next_done_ = UINT64_MAX;
+    stalled_ = false;
+    mio_refused_ = false;
     size_t ninflight = r.u64();
     for (size_t i = 0; i < ninflight; ++i) {
         InFlight f;
@@ -509,6 +538,7 @@ SubCore::load_state(SnapshotReader& r, const std::vector<GridRun*>& grids)
         f.inst = &owner.prog[idx];
         f.iter = r.i32();
         inflight_.push_back(f);
+        next_done_ = std::min(next_done_, f.done);
     }
     last_issued_ = r.i32();
     lrr_pos_ = r.i32();

@@ -22,7 +22,27 @@ namespace tcsim {
 
 class SM;
 
-/** One of the four processing blocks of an SM. */
+/**
+ * One of the four processing blocks of an SM.
+ *
+ * Stall memo: a failed issue poll has no side effects beyond the stall
+ * it records, and its outcome is a function of the warp states, the
+ * scoreboard, the FP32/INT/tensor-core ready times against `now`, and
+ * the MIO queues' occupancy and block reason.  So after a failed poll
+ * the sub-core stays "stalled" and charges the same stall each cycle
+ * without walking its warps, until the nearest unit ready time
+ * (stall_wake_) or one of these wake sources:
+ *   - a writeback completing here (scoreboard, warp drain/finish);
+ *   - add_warp, release_barrier, load_state;
+ *   - mio_changed() — an MIO pipe popped or the global head's block
+ *     reason changed — but only if the last poll had a warp refused
+ *     by mio_push.  A push by another sub-core only fills the queue
+ *     further, so it cannot unblock anyone.
+ * A retiring grid (forget_grid) needs no wake: its warps here have
+ * all finished, each through a writeback or an issued EXIT.  The memo
+ * is not serialized: a restored sub-core re-polls and gets the same
+ * answer.
+ */
 class SubCore
 {
   public:
@@ -43,11 +63,22 @@ class SubCore
     bool busy() const;
 
     /** Complete instructions whose writeback cycle has arrived; true
-     *  if any instruction completed. */
+     *  if any instruction completed.  Returns at once while the
+     *  earliest in-flight writeback is still in the future. */
     bool do_writebacks(uint64_t now);
 
-    /** Attempt to issue one instruction; true if something issued. */
+    /** Attempt to issue one instruction; true if something issued.
+     *  While the stall memo holds, only records the memoized stall. */
     bool try_issue(uint64_t now);
+
+    /** The SM's MIO state changed in a way that can unblock a refused
+     *  push (a pipe popped, or the global head's block reason moved):
+     *  wake this sub-core if its last poll hit mio_push refusal. */
+    void mio_changed()
+    {
+        if (mio_refused_)
+            stalled_ = false;
+    }
 
     /** Earliest future cycle a stalled sub-core can change state: the
      *  nearest in-flight writeback or execution-unit ready time. */
@@ -100,6 +131,11 @@ class SubCore
     void load_state(SnapshotReader& r, const std::vector<GridRun*>& grids);
 
   private:
+    /** Visit the active warps in scheduler order and issue the first
+     *  that can go.  On failure last_block_/last_block_grid_ name the
+     *  stall and mio_refused_ says whether mio_push refused a warp. */
+    bool poll_warps(uint64_t now);
+
     /** Try to issue the next instruction of one warp. */
     bool try_issue_warp(int slot, uint64_t now);
 
@@ -136,6 +172,9 @@ class SubCore
     ExecUnit mufu_;
     TensorCoreUnit tc_;
     std::vector<InFlight> inflight_;
+    /** Earliest `done` in inflight_ (UINT64_MAX when empty): exact
+     *  after each do_writebacks pass, lowered by register_writeback. */
+    uint64_t next_done_ = UINT64_MAX;
     int last_issued_ = -1;
     int lrr_pos_ = 0;
     uint64_t issued_ = 0;
@@ -143,6 +182,13 @@ class SubCore
     StallReason last_block_ = StallReason::kNone;
     /** Grid of the warp that set last_block_ (stall attribution). */
     GridRun* last_block_grid_ = nullptr;
+    /** Stall memo (see the class comment): the last poll failed and
+     *  nothing it read has changed since. */
+    bool stalled_ = false;
+    /** Nearest FP32/INT/tensor-core ready time after the failed poll. */
+    uint64_t stall_wake_ = 0;
+    /** The last poll had a warp refused by mio_push. */
+    bool mio_refused_ = false;
 };
 
 }  // namespace tcsim

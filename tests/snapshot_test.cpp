@@ -190,6 +190,51 @@ TEST(Snapshot, ForkedRunMatchesColdRun)
     }
 }
 
+TEST(Snapshot, ForkWhileSubCoresAreStallMemoized)
+{
+    // A sub-core whose issue poll failed keeps charging that stall
+    // without re-walking its warps until something it reads changes.
+    // The memo is not serialized, so a restored sub-core re-polls: the
+    // fork must still match the uninterrupted run, which carried its
+    // memos across the capture tick.  Back-pressure (4 MSHRs, 2-deep
+    // DRAM queues) keeps most sub-cores stalled on memory for most of
+    // the run: an instrumented build counted 25 to 32 of the 32
+    // sub-cores memo-stalled at each capture point below, 1 to 22 of
+    // them with a warp refused by the load/store queue.
+    GpuConfig cfg = mem_bound_config(8);
+    cfg.l1_mshr_entries = 4;
+    cfg.dram_queue_depth = 2;
+    for (SchedulerPolicy policy :
+         {SchedulerPolicy::kGto, SchedulerPolicy::kTwoLevel}) {
+        SCOPED_TRACE(static_cast<int>(policy));
+        SimOptions opts;
+        opts.scheduler = policy;
+        EngineStats base = cold_gemm(cfg, opts, 128);
+        ASSERT_GT(base.stalls[StallReason::kMshrFull], 0u);
+        ASSERT_GT(base.stalls[StallReason::kDramQueue], 0u);
+        for (uint64_t at : {base.cycles / 5, base.cycles / 2,
+                            base.cycles * 4 / 5}) {
+            SCOPED_TRACE("capture at cycle " + std::to_string(at));
+            Gpu gpu(cfg, opts);
+            enqueue_gemm(gpu, 128);
+            gpu.run_until(at);
+            ASSERT_TRUE(gpu.run_active());
+            Snapshot snap = gpu.snapshot();
+
+            Gpu fork(cfg, opts);
+            fork.restore(snap);
+            expect_identical(base, fork.run());
+
+            // Rewind in place from later in the run: memos armed after
+            // the capture must not survive the restore.
+            gpu.run_until(at + (base.cycles - at) / 2);
+            ASSERT_TRUE(gpu.run_active());
+            gpu.restore(snap);
+            expect_identical(base, gpu.run());
+        }
+    }
+}
+
 TEST(Snapshot, DoubleRestoreFromOneSnapshot)
 {
     // One snapshot feeds many forks (the sweep runner's pattern); the
