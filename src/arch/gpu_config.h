@@ -90,7 +90,7 @@ struct GpuConfig
     //     -> L2 bank -> DRAM partition as queued transactions; when a
     //     stage's slots are exhausted the refusal propagates back to
     //     the issuing warp as back-pressure. ---
-    int l1_mshr_entries = 256;      ///< Outstanding line fills per SM.
+    int l1_mshr_entries = 256;      ///< Outstanding line fills per SM (<= 65534).
     int l2_banks = 48;              ///< L2 service banks (2 per partition).
     double l2_bank_bytes_per_cycle = 32.0;  ///< Per-bank service rate.
     int l2_bank_queue_depth = 64;   ///< Requests queued per bank.

@@ -982,7 +982,8 @@ constexpr OverrideField kOverrideFields[] = {
     TCSIM_INT_FIELD(num_mem_partitions),
     TCSIM_FLOAT_FIELD(dram_bytes_per_cycle_per_partition),
     TCSIM_INT_FIELD(mio_bytes_per_cycle),
-    TCSIM_INT_FIELD(l1_mshr_entries),
+    // The MSHR line index stores 16-bit slot numbers.
+    TCSIM_INT_FIELD_RANGE(l1_mshr_entries, 1, 65534),
     TCSIM_INT_FIELD(l2_banks),
     TCSIM_FLOAT_FIELD(l2_bank_bytes_per_cycle),
     TCSIM_INT_FIELD(l2_bank_queue_depth),

@@ -148,6 +148,8 @@ SM::launch_cta(GridRun* grid, int cta_id, uint64_t now)
 void
 SM::begin_tick(uint64_t now)
 {
+    settle(now);
+    settled_to_ = now + 1;
     now_ = now;
     progress_ = false;
     process_mio();
@@ -272,9 +274,9 @@ SM::process_mio()
         now_ >= std::max(mio_global_free_, mio_global_retry_)) {
         MioEntry& entry = mio_global_.front();
         if (!entry.primed) {
-            entry.sectors = coalesce_sectors(*entry.inst,
-                                             cfg_.l1_sector_bytes,
-                                             entry.iter);
+            coalesce_sectors(*entry.inst, cfg_.l1_sector_bytes, entry.iter,
+                             &sector_buf_);
+            entry.sectors.swap(sector_buf_);
             entry.port_next = now_;
             entry.primed = true;
         }
@@ -307,6 +309,7 @@ SM::process_mio()
             uint64_t done = std::max(entry.done, now_);
             subcores_[static_cast<size_t>(entry.subcore)]->register_writeback(
                 done, entry.warp_slot, entry.inst, entry.iter);
+            sector_buf_.swap(entry.sectors);
             mio_global_.pop_front();
             mio_changed = true;
         }

@@ -63,9 +63,43 @@ class SM
     // SM-index order: begin_tick() for every SM first (the MIO drains
     // through the shared MemorySystem), then tick_compute() for every
     // SM.  The BENCH_ baselines pin this order.
+    //
+    // Settlement: a busy SM is ticked only at cycles at or after its
+    // cached next event; the cycles in between are provably stalled
+    // and their issue stalls are charged lazily.  settled_to_ is the
+    // first cycle whose stalls have not been charged yet.  The
+    // invariant: every reader of stall counters (SM or grid) sees a
+    // busy SM settled through the cycle it observes, and nothing
+    // changes what a skipped cycle charges before it is settled.  The
+    // charge is made before each tick (begin_tick), before a CTA is
+    // dispatched to the SM, and, for SMs the tick skipped, by settle()
+    // at the engine's observation points: the retire pass and every
+    // return from an advance (see ExecutionEngine::settle).  A
+    // restored SM is settled to the restore cycle (mark_settled).
 
-    /** Start the tick and service the MIO queues. */
+    /** Start the tick and service the MIO queues.  A busy SM first
+     *  charges the stalls of the cycles it was skipped over. */
     void begin_tick(uint64_t now);
+
+    /** Charge the stalls of the skipped cycles before @p cycle, if
+     *  busy (a no-op when already settled that far). */
+    void settle(uint64_t cycle)
+    {
+        if (busy_cache_ && cycle > settled_to_) {
+            account_skipped(cycle - settled_to_);
+            settled_to_ = cycle;
+        }
+    }
+
+    /** Stalls are charged for every cycle before @p cycle (snapshot
+     *  restore: a paused run is settled up to its clock). */
+    void mark_settled(uint64_t cycle) { settled_to_ = cycle; }
+
+    /** First cycle whose stalls are not yet charged. */
+    uint64_t settled_to() const { return settled_to_; }
+
+    /** The last tick issued, wrote back or moved MIO traffic. */
+    bool progressed() const { return progress_; }
 
     /** Sub-core writebacks + issue, with functional execution.  When
      *  @p completions is non-null (sampled mode, replay recording),
@@ -81,8 +115,9 @@ class SM
     bool busy_cached() const { return busy_cache_; }
 
     /** next_event() as of the end of the last tick_compute(): the
-     *  engine's stalled-chip scan reads this O(1) cache instead of
-     *  re-walking sub-core in-flight lists. */
+     *  engine ticks a busy SM only once this is due, and its
+     *  stalled-chip scan reads this O(1) cache instead of re-walking
+     *  sub-core in-flight lists. */
     uint64_t next_event_cached() const { return next_event_cache_; }
 
     // ---- Engine-facing dispatch interface ----
@@ -126,10 +161,6 @@ class SM
      * skips the provably dead cycles in between.
      */
     uint64_t next_event(uint64_t now) const;
-
-    /** Attribute @p cycles of skipped (provably stalled) time to the
-     *  sub-cores' issue-stall counters. */
-    void account_skipped(uint64_t cycles);
 
     // ---- Interface used by SubCore ----
     const GpuConfig& config() const { return cfg_; }
@@ -211,6 +242,10 @@ class SM
   private:
     void process_mio();
 
+    /** Attribute @p cycles of skipped (provably stalled) time to the
+     *  sub-cores' issue-stall counters (settle()). */
+    void account_skipped(uint64_t cycles);
+
     /** Functional execution of one global LDG/STG. */
     void functional_global_access(Warp& w, const Instruction& inst);
 
@@ -267,6 +302,10 @@ class SM
      *  scheduler (each accepts one warp instruction per cycle). */
     std::deque<MioEntry> mio_shared_;
     std::deque<MioEntry> mio_global_;
+    /** Sector storage handed to each global head entry as it primes
+     *  and taken back when it pops: coalescing reuses one buffer
+     *  instead of allocating per instruction. */
+    std::vector<uint64_t> sector_buf_;
     uint64_t mio_shared_free_ = 0;
     uint64_t mio_global_free_ = 0;
     /** Earliest cycle a refused head transaction may be retried (0 =
@@ -285,6 +324,9 @@ class SM
     /** Tick-end caches consumed by the engine (see tick_compute). */
     bool busy_cache_ = false;
     uint64_t next_event_cache_ = UINT64_MAX;
+    /** First cycle whose issue stalls are not charged yet (see the
+     *  settlement comment at begin_tick). */
+    uint64_t settled_to_ = 0;
 };
 
 }  // namespace tcsim

@@ -670,14 +670,28 @@ ExecutionEngine::step(uint64_t bound)
     // Select the SMs that tick this cycle: every SM while CTAs await
     // dispatch (any SM may accept one — and idle SMs' schedulers
     // record the same kEmpty stalls a lockstep run does), otherwise
-    // only the busy list.  cycled_ stays in ascending SM-index order:
-    // the tick passes below rely on it.
+    // the busy SMs whose cached next event is due; the others are
+    // provably stalled this cycle and settle their stalls lazily
+    // (SM::begin_tick, settle()).  Lockstep mode cycles every busy SM
+    // and checks that those with a later next event stay quiet.
+    // cycled_ stays in ascending SM-index order: the tick passes
+    // below rely on it.
     bool launched = false;
     cycled_.clear();
+    quiet_.clear();
+    const bool lockstep = !opts_.idle_skip;
     if (dispatch_pending) {
         cycled_.reserve(rs.sms.size());
         for (auto& sm : rs.sms) {
-            launched |= dispatch_to(sm.get());
+            // A new CTA changes what the SM's skipped cycles would
+            // have charged (an empty sub-core stalls kEmpty): settle
+            // them first.
+            sm->settle(now);
+            const bool accepted = dispatch_to(sm.get());
+            launched |= accepted;
+            if (lockstep && !accepted && sm->busy_cached() &&
+                sm->next_event_cached() > now)
+                quiet_.push_back(sm.get());
             cycled_.push_back(sm.get());
         }
         // Sampled mode: shadow SMs accept after the detailed array
@@ -685,9 +699,15 @@ ExecutionEngine::step(uint64_t bound)
         for (ShadowSm& sh : rs.shadows)
             launched |= dispatch_shadow(sh, now);
     } else {
-        cycled_.reserve(rs.busy_sms.size());
-        for (int id : rs.busy_sms)
-            cycled_.push_back(rs.sms[static_cast<size_t>(id)].get());
+        for (int id : rs.busy_sms) {
+            SM* sm = rs.sms[static_cast<size_t>(id)].get();
+            if (sm->next_event_cached() <= now)
+                cycled_.push_back(sm);
+            else if (lockstep) {
+                quiet_.push_back(sm);
+                cycled_.push_back(sm);
+            }
+        }
     }
 
     // Sampled mode collects each CTA's measured latency for the
@@ -711,16 +731,36 @@ ExecutionEngine::step(uint64_t bound)
     for (SM* sm : cycled_)
         sm->tick_compute(now,
                          (sampled || recording) ? &completions_ : nullptr);
+    // Lockstep is the reference the skipping path is proven against:
+    // an SM whose cached next event lies in the future must be a no-op
+    // now, or the skipping path would have dropped a real tick.
+    for (SM* sm : quiet_)
+        if (sm->progressed())
+            panic("%s", hang_dump(detail::format(
+                            "SM %d progressed at cycle %llu before its "
+                            "cached next event %llu (stale next-event "
+                            "cache)",
+                            sm->id(), static_cast<unsigned long long>(now),
+                            static_cast<unsigned long long>(
+                                sm->next_event_cached())))
+                            .c_str());
     if (sampled)
         shadow_commit(now);
     else if (recording)
         record_occupancy(now);
 
-    // The busy list for the next tick (ascending, since cycled_ is).
-    rs.busy_sms.clear();
-    for (SM* sm : cycled_)
-        if (sm->busy_cached())
-            rs.busy_sms.push_back(sm->id());
+    // The busy list for the next tick, ascending.  A dispatch tick
+    // cycled every SM; otherwise only cycled SMs can have gone idle.
+    if (dispatch_pending) {
+        rs.busy_sms.clear();
+        for (SM* sm : cycled_)
+            if (sm->busy_cached())
+                rs.busy_sms.push_back(sm->id());
+    } else {
+        std::erase_if(rs.busy_sms, [&](int id) {
+            return !rs.sms[static_cast<size_t>(id)]->busy_cached();
+        });
+    }
     ++rs.stats.ticks;
 
     // Replayed launches complete by the clock, not by CTA drain: mark
@@ -764,6 +804,10 @@ ExecutionEngine::step(uint64_t bound)
             l->grid.finish_cycle = l->fault_release;
         }
         rs.last_finish = std::max(rs.last_finish, l->grid.finish_cycle);
+        // finalize reads the grid's stall counters: charge this
+        // cycle to the SMs the tick skipped first.
+        if (!retired)
+            settle(now + 1);
         rs.stats.kernels.push_back(finalize(*l));
         finish_replay(*l, rs.stats.kernels.back());
         for (StreamRun& sr : rs.stream_runs) {
@@ -868,17 +912,31 @@ ExecutionEngine::step(uint64_t bound)
         // be an entire kernel duration beyond it.
         if (bound != UINT64_MAX && e > bound + 1)
             e = std::max(bound + 1, now + 1);
-        if (e > now + 1 && opts_.idle_skip) {
-            uint64_t gap = e - (now + 1);
+        // Every SM's cached next event lies past the cycle it last
+        // ticked, and this tick cycled the due ones; an event at or
+        // before now is a stale cache, and jumping to it would run the
+        // clock backwards.
+        if (e <= now) {
+            std::string stale;
             for (int id : rs.busy_sms)
-                rs.sms[static_cast<size_t>(id)]->account_skipped(gap);
-            rs.stats.skipped_cycles += gap;
-            next = e;
-        } else if (opts_.idle_skip) {
+                if (rs.sms[static_cast<size_t>(id)]->next_event_cached() <=
+                    now)
+                    stale += " " + std::to_string(id);
+            panic("%s", hang_dump(detail::format(
+                            "engine next event %llu is not after cycle "
+                            "%llu (stale next-event cache on SM(s)%s)",
+                            static_cast<unsigned long long>(e),
+                            static_cast<unsigned long long>(now),
+                            stale.c_str()))
+                            .c_str());
+        }
+        // The skipped SMs charge the gap's stalls when they next tick
+        // or settle.  Lockstep (idle_skip off): tick every cycle; e was
+        // still computed so the checks above catch real stalls.
+        if (opts_.idle_skip) {
+            rs.stats.skipped_cycles += e - (now + 1);
             next = e;
         }
-        // Lockstep (idle_skip off): tick every cycle; e was still
-        // computed so the dead-chip panic above catches real stalls.
     }
     rs.now = next;
     if (rs.now > opts_.max_cycles) {
@@ -947,12 +1005,25 @@ ExecutionEngine::finish()
     return out;
 }
 
+void
+ExecutionEngine::settle(uint64_t cycle)
+{
+    for (int id : run_->busy_sms)
+        run_->sms[static_cast<size_t>(id)]->settle(cycle);
+}
+
 template <typename DoneFn>
 EngineStats
 ExecutionEngine::advance(DoneFn done, bool pause_on_block, uint64_t bound)
 {
+    // Every exit settles the skipped SMs up to the clock: the stats it
+    // returns (fill_totals) and a snapshot taken before the next
+    // advance read their stall counters.
     while (!done()) {
-        switch (step(bound)) {
+        const StepResult r = step(bound);
+        if (r != StepResult::kRunning)
+            settle(run_->now);
+        switch (r) {
           case StepResult::kDrained:
             return finish();
           case StepResult::kBlocked:
@@ -973,6 +1044,7 @@ ExecutionEngine::advance(DoneFn done, bool pause_on_block, uint64_t bound)
             break;
         }
     }
+    settle(run_->now);
     return snapshot();
 }
 
@@ -1255,6 +1327,10 @@ ExecutionEngine::save_state(SnapshotWriter& w,
     w.u64(rs.sms.size());
     for (const auto& sm : rs.sms)
         sm->save_state(w, grids);
+    // The settled cycle is not serialized: load_state re-derives it
+    // from the clock, which holds only for a settled run.
+    for (int id : rs.busy_sms)
+        TCSIM_CHECK(rs.sms[static_cast<size_t>(id)]->settled_to() == rs.now);
 
     w.u64(rs.busy_sms.size());
     for (int id : rs.busy_sms)
@@ -1398,8 +1474,12 @@ ExecutionEngine::load_state(SnapshotReader& r,
                 sm->set_warp_cap(cap);
         rs.sms.push_back(std::move(sm));
     }
-    for (auto& sm : rs.sms)
+    for (auto& sm : rs.sms) {
         sm->load_state(r, grids);
+        // save_state runs between advances, which settle every busy
+        // SM up to the clock.
+        sm->mark_settled(rs.now);
+    }
 
     uint64_t nbusy = r.u64();
     for (uint64_t i = 0; i < nbusy; ++i) {

@@ -7,14 +7,21 @@
  * event waits, host callbacks), a chip-level dispatcher assigns CTAs
  * from all resident grids to SMs (concurrent kernel execution when
  * occupancy allows), and the main loop is event-driven — idle SMs are
- * not ticked, and when every SM is provably stalled the clock jumps to
- * the next writeback / MIO / execution-unit event.  Pending memory
- * transactions fold into that jump target: in-flight completions are
+ * not ticked, a busy SM is ticked only once its cached next event is
+ * due, and when every SM is provably stalled the clock jumps to the
+ * next writeback / MIO / execution-unit event.  Pending memory
+ * transactions fold into those events: in-flight completions are
  * registered writebacks, and a head transaction refused by the memory
  * system (MSHR/NoC/DRAM back-pressure) contributes its exact retry
- * cycle, so cycle-jumping stays bit-identical to a lockstep run even
- * when the only outstanding work is in the memory hierarchy
- * (SimOptions::idle_skip).
+ * cycle, so skipping stays bit-identical to a lockstep run even when
+ * the only outstanding work is in the memory hierarchy
+ * (SimOptions::idle_skip).  A skipped SM's issue stalls are charged
+ * lazily (SM's settlement comment): before its next tick, before a CTA
+ * is dispatched to it, and at every observation point — the retire
+ * pass and each return from an advance — so every stall counter a
+ * caller, a retiring launch or a snapshot reads is the lockstep value.
+ * Lockstep mode also checks, each tick, that an SM whose cached next
+ * event lies in the future makes no progress.
  *
  * The engine is a persistent object (Gpu owns one): per-run state
  * lives in an explicit RunState, so a run can be advanced
@@ -164,11 +171,14 @@ struct SimOptions
      */
     uint64_t wall_budget_ms = 0;
     /**
-     * Jump the clock over provably stalled cycles (the event-driven
-     * fast path).  The jump target folds in every pending memory
+     * Skip provably stalled cycles (the event-driven fast path): tick a
+     * busy SM only when its next event is due, and jump the clock when
+     * no SM has one.  The events fold in every pending memory
      * completion and blocked-transaction retry cycle, so results are
-     * bit-identical either way; disabling it ticks every cycle and
-     * exists to prove exactly that (see tests/engine_mem_test.cpp).
+     * bit-identical either way; disabling it ticks every busy SM every
+     * cycle and exists to prove exactly that (tests/engine_mem_test.cpp,
+     * the Settlement tests in tests/snapshot_test.cpp, and
+     * tools/check_lockstep_identity.py over the scenario suite).
      */
     bool idle_skip = true;
     /** Threads per simulation.  Only 1 is valid (the engine
@@ -581,6 +591,13 @@ class ExecutionEngine
     void shadow_commit(uint64_t now);
     LaunchStats finalize(Launch& l) const;
     bool drained() const;
+    /** Charge every busy SM's skipped-cycle stalls up to (not
+     *  including) @p cycle.  Settlement points beyond each SM's own
+     *  pre-tick charge: dispatch (a new CTA changes what the skipped
+     *  cycles charge), the retire pass (finalize reads grid stalls,
+     *  forget_grids drops attribution pointers) and every return from
+     *  advance() (fill_totals, snapshot(), save_state). */
+    void settle(uint64_t cycle);
     /** Snapshot of the active run's progress. */
     EngineStats snapshot() const;
     /** Final stats of the drained run; tears the run down. */
@@ -622,6 +639,9 @@ class ExecutionEngine
 
     /** Scratch: SMs cycled this tick, ascending SM-index order. */
     std::vector<SM*> cycled_;
+    /** Scratch (lockstep only): cycled SMs whose cached next event is
+     *  later than the tick, which must therefore make no progress. */
+    std::vector<SM*> quiet_;
     /** Scratch: grids retiring this tick (batched forget pass). */
     std::vector<const GridRun*> retiring_;
     /** Scratch: detailed CTA completions this tick (sampled mode). */

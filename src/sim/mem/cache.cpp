@@ -1,5 +1,7 @@
 #include "sim/mem/cache.h"
 
+#include <bit>
+
 #include "common/logging.h"
 #include "sim/snapshot_io.h"
 
@@ -7,6 +9,7 @@ namespace tcsim {
 
 Cache::Cache(const CacheConfig& cfg) : cfg_(cfg)
 {
+    TCSIM_CHECK(std::has_single_bit(static_cast<unsigned>(cfg.line_bytes)));
     TCSIM_CHECK(cfg.line_bytes % cfg.sector_bytes == 0);
     sectors_per_line_ = cfg.line_bytes / cfg.sector_bytes;
     TCSIM_CHECK(sectors_per_line_ <= 8);
@@ -15,19 +18,33 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg)
                                   cfg.assoc));
     TCSIM_CHECK(num_sets_ > 0);
     lines_.resize(static_cast<size_t>(num_sets_) * cfg.assoc);
+    // Lines and sectors (divisors of a power of two) index by shift
+    // and mask; so does a power-of-two set count.
+    line_shift_ = std::countr_zero(static_cast<unsigned>(cfg.line_bytes));
+    sector_shift_ = std::countr_zero(static_cast<unsigned>(cfg.sector_bytes));
+    if (std::has_single_bit(static_cast<unsigned>(num_sets_)))
+        set_shift_ = std::countr_zero(static_cast<unsigned>(num_sets_));
 }
 
 Cache::Addr
 Cache::decompose(uint64_t addr) const
 {
-    uint64_t line_addr = addr / cfg_.line_bytes;
+    const uint64_t line_addr = addr >> line_shift_;
+    const int sector = static_cast<int>(
+        (addr & (static_cast<uint64_t>(cfg_.line_bytes) - 1)) >>
+        sector_shift_);
     // Modulo indexing (set counts need not be a power of two, e.g.
     // the Titan V's 4608 KB L2).
     Addr a;
-    a.set = static_cast<int>(line_addr % static_cast<uint64_t>(num_sets_));
-    a.tag = line_addr / static_cast<uint64_t>(num_sets_);
-    int sector = static_cast<int>((addr % cfg_.line_bytes) /
-                                  cfg_.sector_bytes);
+    if (set_shift_ >= 0) {
+        a.set = static_cast<int>(line_addr &
+                                 (static_cast<uint64_t>(num_sets_) - 1));
+        a.tag = line_addr >> set_shift_;
+    } else {
+        a.set = static_cast<int>(line_addr %
+                                 static_cast<uint64_t>(num_sets_));
+        a.tag = line_addr / static_cast<uint64_t>(num_sets_);
+    }
     a.sector_bit = static_cast<uint8_t>(1u << sector);
     return a;
 }

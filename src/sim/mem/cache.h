@@ -5,9 +5,9 @@
  * is held functionally in GlobalMemory).  Used for both the per-SM L1
  * and the shared L2.
  *
- * Lines are 128 B with four 32-byte sectors; a miss on a cached line
- * with an absent sector fetches just that sector (sector-miss), as in
- * Volta's L1 (Khairy et al.).
+ * Lines are 128 B with four 32-byte sectors (both sizes must be powers
+ * of two); a miss on a cached line with an absent sector fetches just
+ * that sector (sector-miss), as in Volta's L1 (Khairy et al.).
  */
 
 #include <cstdint>
@@ -91,6 +91,11 @@ class Cache
     CacheConfig cfg_;
     int num_sets_;
     int sectors_per_line_;
+    int line_shift_;  ///< log2(line_bytes).
+    int sector_shift_;  ///< log2(sector_bytes).
+    /** log2(num_sets_), or -1 when not a power of two (decompose()
+     *  divides instead). */
+    int set_shift_ = -1;
     std::vector<Line> lines_;  // [set * assoc + way]
     uint64_t tick_ = 0;
     uint64_t hits_ = 0;

@@ -14,8 +14,15 @@
 namespace tcsim {
 
 /** Coalesce one warp-wide access into sorted unique sector addresses
- *  (byte address of each sector start).  @p iter is the loop
- *  iteration the instruction issued at. */
+ *  (byte address of each sector start), replacing the contents of
+ *  @p out (its capacity is reused, so a caller that keeps the buffer
+ *  allocates nothing per instruction).  @p iter is the loop iteration
+ *  the instruction issued at; @p sector_bytes must be a power of
+ *  two. */
+void coalesce_sectors(const Instruction& inst, int sector_bytes, int iter,
+                      std::vector<uint64_t>* out);
+
+/** Convenience form returning a fresh vector. */
 std::vector<uint64_t> coalesce_sectors(const Instruction& inst,
                                        int sector_bytes = 32, int iter = 0);
 

@@ -1,6 +1,7 @@
 #include "sim/mem/mshr.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.h"
 #include "sim/snapshot_io.h"
@@ -14,10 +15,65 @@ MshrFile::MshrFile(int entries, int line_bytes, int sector_bytes)
     TCSIM_CHECK(line_bytes > 0 && sector_bytes > 0);
     TCSIM_CHECK(line_bytes % sector_bytes == 0);
     TCSIM_CHECK(line_bytes / sector_bytes <= 8);
+    TCSIM_CHECK(entries < kNoSlot);
     // Full reservation up front: entry pointers handed out by query()
     // stay valid across the push_back in track().
     active_.reserve(static_cast<size_t>(entries));
     lines_.reserve(static_cast<size_t>(entries));
+    // At most half the buckets are ever occupied: probes stay short.
+    const size_t buckets =
+        std::bit_ceil(2 * static_cast<size_t>(entries));
+    index_.assign(buckets, kNoSlot);
+    index_shift_ = 64 - std::countr_zero(buckets);
+}
+
+size_t
+MshrFile::home(uint64_t line) const
+{
+    // Fibonacci hashing: the top bits of a golden-ratio multiply (the
+    // index has at least two buckets, so the shift is below 64).
+    return static_cast<size_t>((line * 0x9E3779B97F4A7C15ull) >>
+                               index_shift_);
+}
+
+size_t
+MshrFile::bucket_of(uint64_t line) const
+{
+    const size_t mask = index_.size() - 1;
+    size_t b = home(line);
+    while (lines_[index_[b]] != line)
+        b = (b + 1) & mask;
+    return b;
+}
+
+void
+MshrFile::index_insert(uint64_t line, uint16_t slot)
+{
+    const size_t mask = index_.size() - 1;
+    size_t b = home(line);
+    while (index_[b] != kNoSlot)
+        b = (b + 1) & mask;
+    index_[b] = slot;
+}
+
+void
+MshrFile::index_erase(size_t b)
+{
+    // Backward-shift deletion: move each later member of the probe run
+    // into the hole unless its home lies cyclically in (hole, member].
+    const size_t mask = index_.size() - 1;
+    size_t hole = b;
+    for (size_t j = (b + 1) & mask; index_[j] != kNoSlot;
+         j = (j + 1) & mask) {
+        const size_t h = home(lines_[index_[j]]);
+        const bool stays = hole <= j ? (hole < h && h <= j)
+                                     : (hole < h || h <= j);
+        if (stays)
+            continue;
+        index_[hole] = index_[j];
+        hole = j;
+    }
+    index_[hole] = kNoSlot;
 }
 
 void
@@ -30,6 +86,10 @@ MshrFile::prune(uint64_t now)
     next_free_ = UINT64_MAX;
     for (size_t i = 0; i < active_.size();) {
         if (active_[i].last_fill <= now) {
+            index_erase(bucket_of(lines_[i]));
+            const size_t last = active_.size() - 1;
+            if (i != last)
+                index_[bucket_of(lines_[last])] = static_cast<uint16_t>(i);
             active_[i] = active_.back();
             active_.pop_back();
             lines_[i] = lines_.back();
@@ -44,9 +104,10 @@ MshrFile::prune(uint64_t now)
 MshrFile::Entry*
 MshrFile::find(uint64_t line)
 {
-    for (size_t i = 0; i < lines_.size(); ++i)
-        if (lines_[i] == line)
-            return &active_[i];
+    const size_t mask = index_.size() - 1;
+    for (size_t b = home(line); index_[b] != kNoSlot; b = (b + 1) & mask)
+        if (lines_[index_[b]] == line)
+            return &active_[index_[b]];
     return nullptr;
 }
 
@@ -94,6 +155,8 @@ MshrFile::track(uint64_t addr, const Lookup& found, uint64_t fill_done)
         active_.push_back(Entry{});
         e = &active_.back();
         lines_.push_back(addr / static_cast<uint64_t>(line_bytes_));
+        index_insert(lines_.back(),
+                     static_cast<uint16_t>(lines_.size() - 1));
         peak_ = std::max(peak_, active_.size());
     }
     size_t sector = (addr % static_cast<uint64_t>(line_bytes_)) /
@@ -116,6 +179,7 @@ MshrFile::reset()
 {
     active_.clear();
     lines_.clear();
+    std::fill(index_.begin(), index_.end(), kNoSlot);
     next_free_ = UINT64_MAX;
     peak_ = 0;
     merges_ = 0;
@@ -144,9 +208,14 @@ MshrFile::load_state(SnapshotReader& r)
         throw SnapshotError("MSHR occupancy exceeds file size");
     active_.clear();
     lines_.clear();
+    std::fill(index_.begin(), index_.end(), kNoSlot);
     next_free_ = UINT64_MAX;
     for (uint64_t i = 0; i < n; ++i) {
-        lines_.push_back(r.u64());
+        const uint64_t line = r.u64();
+        if (find(line))
+            throw SnapshotError("MSHR file holds a line twice");
+        lines_.push_back(line);
+        index_insert(line, static_cast<uint16_t>(i));
         Entry e;
         for (uint64_t& fill : e.sector_fill)
             fill = r.u64();

@@ -13,7 +13,8 @@
  * pruned lazily against the query cycle (an entry frees once its last
  * sector fill has arrived), so the file has no autonomous clock; a
  * lower bound on the earliest fill lets queries before it skip the
- * prune pass.
+ * prune pass.  Lookups go through an open-addressed line -> slot
+ * index, so a query costs O(1) whatever the file size.
  */
 
 #include <array>
@@ -111,12 +112,27 @@ class MshrFile
     void prune(uint64_t now);
     Entry* find(uint64_t line);
 
+    /** Linear-probing index over lines_: index_[h] is a slot of
+     *  active_/lines_ or kNoSlot.  Keys live in lines_ only, so a
+     *  bucket is two bytes.  Entry order in active_/lines_ is exactly
+     *  that of the index-free file (snapshot bytes depend on it). */
+    static constexpr uint16_t kNoSlot = UINT16_MAX;
+    size_t home(uint64_t line) const;
+    /** Bucket holding @p line (which must be indexed). */
+    size_t bucket_of(uint64_t line) const;
+    void index_insert(uint64_t line, uint16_t slot);
+    /** Remove the bucket at @p b, shifting later probes back so no
+     *  tombstones are needed. */
+    void index_erase(size_t b);
+
     int entries_;
     int line_bytes_;
     int sector_bytes_;
     std::vector<Entry> active_;
-    /** Line address of active_[i], kept apart for a compact scan. */
+    /** Line address of active_[i]. */
     std::vector<uint64_t> lines_;
+    std::vector<uint16_t> index_;
+    int index_shift_ = 0;  ///< 64 - log2(index_.size()).
     /** Lower bound on every active entry's last_fill: no entry frees
      *  before it, so prune() has nothing to do while now < next_free_. */
     uint64_t next_free_ = UINT64_MAX;

@@ -2,11 +2,13 @@
  * @file
  * Oracle property tests for the simulator's hot paths.  Each fast
  * implementation (bank-conflict degree, word-mask scoreboard, MSHR
- * file with a prune horizon) is driven with Pcg32-random inputs side
- * by side with the straightforward reference implementation it
- * replaced, kept here verbatim in behaviour, and must agree on every
- * answer, counter and snapshot byte.  Also covers the register-range
- * guard that keeps operand ranges inside the scoreboard.
+ * file with a prune horizon and a hashed line index, bitmap sector
+ * coalescer, shift-and-mask cache indexing) is driven with
+ * Pcg32-random inputs side by side with the straightforward reference
+ * implementation it replaced, kept here verbatim in behaviour, and
+ * must agree on every answer, counter and snapshot byte.  Also covers
+ * the register-range guard that keeps operand ranges inside the
+ * scoreboard.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +23,8 @@
 #include "common/sim_error.h"
 #include "sim/core/scoreboard.h"
 #include "sim/gpu.h"
+#include "sim/mem/cache.h"
+#include "sim/mem/coalescer.h"
 #include "sim/mem/mshr.h"
 #include "sim/mem/shared_memory.h"
 #include "sim/snapshot_io.h"
@@ -502,54 +506,362 @@ saved(const auto& file)
     return w.take();
 }
 
+/** Drive an MshrFile and the reference with the same random stream:
+ *  addresses from @p lines (any sector offset), the clock advancing by
+ *  up to @p max_step every few operations and past every fill (a
+ *  drain) every @p drain_every operations (0 = never), fills landing
+ *  0..@p max_fill cycles out.  Every answer, counter and snapshot byte
+ *  must agree, and a file restored mid-stream resumes identically.
+ *  The file must fill up (refuse a line) along the way. */
+void
+expect_mshr_matches_reference(int entries, uint64_t seed,
+                              const std::vector<uint64_t>& lines,
+                              int max_step, int drain_every, int max_fill,
+                              int ops)
+{
+    SCOPED_TRACE("entries " + std::to_string(entries) + " seed " +
+                 std::to_string(seed));
+    Pcg32 rng(seed);
+    MshrFile mshr(entries, 128, 32);
+    RefMshr ref(entries, 128, 32);
+    uint64_t now = 0;
+    int full = 0;
+    for (int op = 0; op < ops; ++op) {
+        now += static_cast<uint64_t>(pick(rng, 4) == 0 ? pick(rng, max_step)
+                                                       : 0);
+        if (drain_every > 0 && op % drain_every == drain_every - 1)
+            now += static_cast<uint64_t>(max_fill) + 1;
+        const uint64_t addr =
+            lines[static_cast<size_t>(
+                pick(rng, static_cast<int>(lines.size())))] *
+                128 +
+            static_cast<uint64_t>(pick(rng, 128));
+        const int kind = pick(rng, 10);
+        if (kind == 0) {
+            ASSERT_EQ(mshr.occupancy(now), ref.occupancy(now));
+            continue;
+        }
+        MshrFile::Lookup got = mshr.query(addr, now);
+        RefMshr::Lookup want = ref.query(addr, now);
+        ASSERT_EQ(got.pending_fill, want.pending_fill) << "op " << op;
+        ASSERT_EQ(got.can_track, want.can_track) << "op " << op;
+        ASSERT_EQ(got.entry != nullptr, want.entry >= 0);
+        if (!got.can_track) {
+            ASSERT_EQ(mshr.retry_cycle(now), ref.retry_cycle(now));
+            ++full;
+        } else if (!got.pending_fill && kind > 2) {
+            const uint64_t done =
+                now + static_cast<uint64_t>(pick(rng, max_fill + 1));
+            mshr.track(addr, got, done);
+            ref.track(addr, want, done);
+        }
+        ASSERT_EQ(mshr.peak(), ref.peak());
+        ASSERT_EQ(mshr.merges(), ref.merges());
+        if (op % 53 == 0) {
+            ASSERT_EQ(saved(mshr), saved(ref)) << "op " << op;
+        }
+        if (op % 1009 == 0) {
+            std::vector<uint8_t> bytes = saved(mshr);
+            SnapshotReader r(bytes);
+            MshrFile restored(entries, 128, 32);
+            restored.load_state(r);
+            mshr = std::move(restored);
+        }
+    }
+    ASSERT_EQ(saved(mshr), saved(ref));
+    EXPECT_GT(full, 0);
+}
+
 TEST(HotPathOracle, MshrMatchesPruneEveryQueryReference)
 {
+    // A small line pool forces merges, hits-under-miss and full
+    // files; fills land 0..400 cycles out, some at `now` itself.
+    std::vector<uint64_t> lines(24);
+    for (size_t i = 0; i < lines.size(); ++i)
+        lines[i] = i;
     for (uint64_t seed = 1; seed <= 6; ++seed) {
         Pcg32 rng(seed);
-        const int entries = 1 + pick(rng, 8);
-        MshrFile mshr(entries, 128, 32);
-        RefMshr ref(entries, 128, 32);
-        // A small line pool forces merges, hits-under-miss and full
-        // files; fills land 1..400 cycles out, some at `now` itself.
-        uint64_t now = 0;
-        for (int op = 0; op < 30000; ++op) {
-            now += static_cast<uint64_t>(pick(rng, 4) == 0 ? pick(rng, 60) : 0);
-            const uint64_t addr =
-                static_cast<uint64_t>(pick(rng, 24)) * 128 +
-                static_cast<uint64_t>(pick(rng, 128));
-            const int kind = pick(rng, 10);
-            if (kind == 0) {
-                ASSERT_EQ(mshr.occupancy(now), ref.occupancy(now));
-                continue;
-            }
-            MshrFile::Lookup got = mshr.query(addr, now);
-            RefMshr::Lookup want = ref.query(addr, now);
-            ASSERT_EQ(got.pending_fill, want.pending_fill) << "op " << op;
-            ASSERT_EQ(got.can_track, want.can_track) << "op " << op;
-            ASSERT_EQ(got.entry != nullptr, want.entry >= 0);
-            if (!got.can_track) {
-                ASSERT_EQ(mshr.retry_cycle(now), ref.retry_cycle(now));
-            } else if (!got.pending_fill && kind > 2) {
-                const uint64_t done =
-                    now + static_cast<uint64_t>(pick(rng, 401));
-                mshr.track(addr, got, done);
-                ref.track(addr, want, done);
-            }
-            ASSERT_EQ(mshr.peak(), ref.peak());
-            ASSERT_EQ(mshr.merges(), ref.merges());
-            if (op % 53 == 0) {
-                ASSERT_EQ(saved(mshr), saved(ref)) << "op " << op;
-            }
-            if (op % 1009 == 0) {
-                // A restored file resumes identically.
-                std::vector<uint8_t> bytes = saved(mshr);
-                SnapshotReader r(bytes);
-                MshrFile restored(entries, 128, 32);
-                restored.load_state(r);
-                mshr = std::move(restored);
-            }
+        expect_mshr_matches_reference(1 + pick(rng, 8), seed, lines, 60, 0,
+                                      400, 30000);
+    }
+}
+
+TEST(HotPathOracle, MshrIndexUnderCollisionsAndChurn)
+{
+    // Line pools of three times the file size mixing consecutive,
+    // power-of-two-strided and random 40-bit lines, so the index sees
+    // long probe runs, wrap-around and backward-shift deletions; long
+    // fills fill the file, and every 5000 operations the clock passes
+    // every fill so one prune drains it.
+    for (int entries : {1, 4, 256, 1000}) {
+        Pcg32 rng(static_cast<uint64_t>(entries) * 7919);
+        std::vector<uint64_t> lines;
+        for (int i = 0; i < entries + 2; ++i) {
+            lines.push_back(static_cast<uint64_t>(i));
+            lines.push_back(static_cast<uint64_t>(i) << 14);
+            lines.push_back(rng.next_u64() >> 24);
         }
-        ASSERT_EQ(saved(mshr), saved(ref));
+        expect_mshr_matches_reference(entries, 11, lines, 8, 5000,
+                                      20 * entries + 400, 40000);
+    }
+}
+
+// ---- Sector coalescer ----------------------------------------------
+
+/** Reference: every lane's sectors, then sort and unique. */
+std::vector<uint64_t>
+ref_coalesce_sectors(const Instruction& inst, int sector_bytes, int iter)
+{
+    std::vector<uint64_t> sectors;
+    const uint64_t bytes = inst.width_bits / 8;
+    const uint64_t mask = ~static_cast<uint64_t>(sector_bytes - 1);
+    for (int lane = 0; lane < kWarpSize; ++lane) {
+        uint64_t a = inst.effective_addr(lane, iter);
+        if (a == kNoAddr)
+            continue;
+        for (uint64_t sec = a & mask; sec <= ((a + bytes - 1) & mask);
+             sec += static_cast<uint64_t>(sector_bytes))
+            sectors.push_back(sec);
+    }
+    std::sort(sectors.begin(), sectors.end());
+    sectors.erase(std::unique(sectors.begin(), sectors.end()),
+                  sectors.end());
+    return sectors;
+}
+
+/** A random warp-wide global access: unit-stride, strided (up to
+ *  spans far past 64 sectors), broadcast or scattered lanes, any
+ *  width from 8 to 128 bits, aligned or not, some lanes inactive, and
+ *  a loop stride / double-buffer advance. */
+Instruction
+random_global_access(Pcg32& rng)
+{
+    static constexpr int kWidths[] = {8, 16, 32, 64, 128};
+    Instruction inst;
+    inst.op = pick(rng, 2) ? Opcode::kLdg : Opcode::kStg;
+    inst.width_bits = static_cast<uint16_t>(kWidths[pick(rng, 5)]);
+    const uint64_t unit = pick(rng, 3) == 0 ? 1 : inst.width_bits / 8;
+    const uint64_t base = (rng.next_u64() >> 20) * unit;
+    const int pattern = pick(rng, 4);
+    const uint64_t stride = static_cast<uint64_t>(pick(rng, 300)) * unit;
+    const int inactive = pick(rng, 3) == 0 ? 0 : pick(rng, 8);
+    std::array<uint64_t, kWarpSize> addr{};
+    for (int lane = 0; lane < kWarpSize; ++lane) {
+        uint64_t a = base;
+        switch (pattern) {
+          case 0: a += unit * static_cast<uint64_t>(lane); break;
+          case 1: a += stride * static_cast<uint64_t>(lane); break;
+          case 2: break;  // broadcast
+          default: a += static_cast<uint64_t>(pick(rng, 4096)); break;
+        }
+        addr[static_cast<size_t>(lane)] =
+            inactive > 0 && pick(rng, inactive) == 0 ? kNoAddr : a;
+    }
+    inst.addr = std::make_unique<std::array<uint64_t, kWarpSize>>(addr);
+    inst.loop_stride =
+        pick(rng, 3) == 0 ? 0 : static_cast<int64_t>(pick(rng, 4096));
+    inst.ping_pong =
+        pick(rng, 2) == 0 ? 0 : static_cast<int64_t>(pick(rng, 8192));
+    return inst;
+}
+
+TEST(HotPathOracle, CoalescerMatchesSortUniqueReference)
+{
+    Pcg32 rng(0xc0a1e5ce);
+    std::vector<uint64_t> buf;
+    int wide = 0;
+    for (int trial = 0; trial < 20000; ++trial) {
+        Instruction inst = random_global_access(rng);
+        const int sector_bytes = pick(rng, 4) == 0 ? 64 : 32;
+        const int iter = pick(rng, 8);
+        std::vector<uint64_t> want =
+            ref_coalesce_sectors(inst, sector_bytes, iter);
+        // The output buffer is reused across calls, like the SM's.
+        coalesce_sectors(inst, sector_bytes, iter, &buf);
+        ASSERT_EQ(buf, want) << "trial " << trial;
+        ASSERT_EQ(coalesce_sectors(inst, sector_bytes, iter), want);
+        if (!want.empty() &&
+            (want.back() - want.front()) / sector_bytes >= 64)
+            ++wide;
+    }
+    // The sort-and-unique fallback for spans over 64 sectors ran too.
+    EXPECT_GT(wide, 1000);
+}
+
+TEST(HotPathOracle, CoalescerAllLanesInactive)
+{
+    Instruction inst;
+    inst.op = Opcode::kLdg;
+    inst.width_bits = 128;
+    inst.addr = std::make_unique<std::array<uint64_t, kWarpSize>>();
+    inst.addr->fill(kNoAddr);
+    std::vector<uint64_t> buf = {1, 2, 3};
+    coalesce_sectors(inst, 32, 0, &buf);
+    EXPECT_TRUE(buf.empty());
+    EXPECT_TRUE(ref_coalesce_sectors(inst, 32, 0).empty());
+}
+
+// ---- Cache indexing --------------------------------------------------
+
+/** Reference: the sectored LRU tag store indexed by division. */
+class RefCache
+{
+  public:
+    explicit RefCache(const CacheConfig& cfg)
+        : cfg_(cfg),
+          num_sets_(cfg.size_bytes /
+                    (static_cast<uint32_t>(cfg.line_bytes) * cfg.assoc)),
+          lines_(static_cast<size_t>(num_sets_) * cfg.assoc)
+    {
+    }
+
+    CacheOutcome access(uint64_t addr, bool is_write)
+    {
+        ++tick_;
+        const uint64_t set = set_of(addr);
+        Line* entry = find(addr);
+        if (entry) {
+            entry->lru = tick_;
+            if (entry->sector_valid & sector_bit(addr)) {
+                ++hits_;
+                return CacheOutcome::kHit;
+            }
+            if (!is_write || cfg_.write_allocate)
+                entry->sector_valid |= sector_bit(addr);
+            ++misses_;
+            return CacheOutcome::kSectorMiss;
+        }
+        ++misses_;
+        if (is_write && !cfg_.write_allocate)
+            return CacheOutcome::kLineMiss;
+        Line* victim = &lines_[set * cfg_.assoc];
+        for (int w = 1; w < cfg_.assoc; ++w) {
+            Line& line = lines_[set * cfg_.assoc + w];
+            if (!line.valid) {
+                victim = &line;
+                break;
+            }
+            if (line.lru < victim->lru)
+                victim = &line;
+        }
+        victim->valid = true;
+        victim->tag = tag_of(addr);
+        victim->lru = tick_;
+        victim->sector_valid = sector_bit(addr);
+        return CacheOutcome::kLineMiss;
+    }
+
+    CacheOutcome probe(uint64_t addr)
+    {
+        const Line* line = find(addr);
+        if (!line)
+            return CacheOutcome::kLineMiss;
+        return (line->sector_valid & sector_bit(addr))
+                   ? CacheOutcome::kHit
+                   : CacheOutcome::kSectorMiss;
+    }
+
+    uint64_t hits() const { return hits_; }
+    uint64_t misses() const { return misses_; }
+
+    void save_state(SnapshotWriter& w) const
+    {
+        w.u64(lines_.size());
+        for (const Line& line : lines_) {
+            w.u64(line.tag);
+            w.u64(line.lru);
+            w.u8(line.sector_valid);
+            w.b(line.valid);
+        }
+        w.u64(tick_);
+        w.u64(hits_);
+        w.u64(misses_);
+    }
+
+  private:
+    struct Line
+    {
+        uint64_t tag = ~uint64_t{0};
+        uint64_t lru = 0;
+        uint8_t sector_valid = 0;
+        bool valid = false;
+    };
+
+    uint64_t set_of(uint64_t addr) const
+    {
+        return addr / static_cast<uint64_t>(cfg_.line_bytes) % num_sets_;
+    }
+    uint64_t tag_of(uint64_t addr) const
+    {
+        return addr / static_cast<uint64_t>(cfg_.line_bytes) / num_sets_;
+    }
+    uint8_t sector_bit(uint64_t addr) const
+    {
+        return static_cast<uint8_t>(
+            1u << (addr % static_cast<uint64_t>(cfg_.line_bytes) /
+                   static_cast<uint64_t>(cfg_.sector_bytes)));
+    }
+    Line* find(uint64_t addr)
+    {
+        const uint64_t set = set_of(addr);
+        for (int w = 0; w < cfg_.assoc; ++w) {
+            Line& line = lines_[set * cfg_.assoc + w];
+            if (line.valid && line.tag == tag_of(addr))
+                return &line;
+        }
+        return nullptr;
+    }
+
+    CacheConfig cfg_;
+    uint64_t num_sets_;
+    std::vector<Line> lines_;
+    uint64_t tick_ = 0;
+    uint64_t hits_ = 0;
+    uint64_t misses_ = 0;
+};
+
+TEST(HotPathOracle, CacheMatchesDivisionReference)
+{
+    // 256 sets (shift-and-mask indexing) and 2304 sets (the Titan V
+    // L2: division), each with and without write allocation.  Lines
+    // a multiple of the set count apart share a set and evict each
+    // other.
+    for (int sets : {256, 2304}) {
+        for (bool write_allocate : {false, true}) {
+            SCOPED_TRACE("sets " + std::to_string(sets) +
+                         (write_allocate ? " write-allocate" : ""));
+            CacheConfig cc;
+            cc.assoc = sets == 256 ? 4 : 16;
+            cc.size_bytes = static_cast<uint32_t>(sets) * 128 *
+                            static_cast<uint32_t>(cc.assoc);
+            cc.write_allocate = write_allocate;
+            Cache cache(cc);
+            RefCache ref(cc);
+            ASSERT_EQ(cache.num_sets(), sets);
+            Pcg32 rng(static_cast<uint64_t>(sets) + write_allocate);
+            for (int op = 0; op < 60000; ++op) {
+                const uint64_t line =
+                    pick(rng, 2) == 0
+                        ? static_cast<uint64_t>(pick(rng, 8)) *
+                                  static_cast<uint64_t>(sets) +
+                              static_cast<uint64_t>(pick(rng, 4))
+                        : rng.next_u64() >> 30;
+                const uint64_t addr =
+                    line * 128 + static_cast<uint64_t>(pick(rng, 128));
+                const bool is_write = pick(rng, 4) == 0;
+                ASSERT_EQ(cache.probe(addr, is_write), ref.probe(addr))
+                    << "op " << op;
+                ASSERT_EQ(cache.access(addr, is_write),
+                          ref.access(addr, is_write))
+                    << "op " << op;
+                ASSERT_EQ(cache.hits(), ref.hits());
+                ASSERT_EQ(cache.misses(), ref.misses());
+                if (op % 4999 == 0) {
+                    ASSERT_EQ(saved(cache), saved(ref)) << "op " << op;
+                }
+            }
+            ASSERT_EQ(saved(cache), saved(ref));
+        }
     }
 }
 

@@ -227,6 +227,23 @@ TEST(Scenario, RejectsOutOfRangeSharedMemBanks)
                  ScenarioError);
 }
 
+TEST(Scenario, RejectsOutOfRangeMshrEntries)
+{
+    // The MSHR line index holds 16-bit slot numbers; a larger file is
+    // a parse error, not an abort when the memory system is built.
+    auto mshrs = [](const std::string& n) {
+        return R"({"name": "s", "gpu": {"l1_mshr_entries": )" + n +
+               R"(}, "kernels": [{"kernel": "wmma_shared"}]})";
+    };
+    EXPECT_NE(parse_error(mshrs("65535")).find(
+                  "gpu.l1_mshr_entries must be <= 65534"),
+              std::string::npos);
+    EXPECT_EQ(parse_error(mshrs("65534")), "");
+    GpuConfig cfg = titan_v_config();
+    EXPECT_THROW(apply_gpu_override(&cfg, "l1_mshr_entries", 70000),
+                 ScenarioError);
+}
+
 TEST(Scenario, SimThreadsAcceptsOnlyOne)
 {
     // Old scenario files may say "sim_threads": 1; any other value is

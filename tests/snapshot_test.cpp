@@ -8,6 +8,14 @@
  * callbacks, idle capture), the reset audit (restoring onto a dirty
  * Gpu equals restoring onto a fresh one), and the sampled-SM
  * fast-forward mode (SimOptions::detailed_sms).
+ *
+ * The Settlement tests pin the event-driven loop's lazy stall
+ * accounting: a busy SM whose next event is later than the clock is
+ * not ticked, and the stalls of the cycles it skipped are charged
+ * before its next tick, at the retire pass and at every return from
+ * an advance.  Paused (run_until) and final statistics must equal a
+ * lockstep run's (SimOptions::idle_skip = false ticks every busy SM
+ * every cycle) at every pause and across snapshot/restore.
  */
 
 #include <gtest/gtest.h>
@@ -523,6 +531,179 @@ TEST(SampledSms, DeterministicAndSnapshotable)
     Gpu fork(cfg, opts);
     fork.restore(snap);
     expect_identical(base, fork.run());
+}
+
+/** Back-pressured chip of 8 SMs: 4 MSHRs and 2-deep DRAM queues keep
+ *  most SMs stalled on memory with distinct next events, so each tick
+ *  cycles only some of the busy SMs. */
+GpuConfig
+backpressure_config()
+{
+    GpuConfig cfg = mem_bound_config(8);
+    cfg.l1_mshr_entries = 4;
+    cfg.dram_queue_depth = 2;
+    return cfg;
+}
+
+/** Two timing-only naive GEMMs on two streams with disjoint SMs: the
+ *  "short" 64^3 grid (2 CTAs, SMs 0-1) retires while the "long"
+ *  128x96x128 grid (6 CTAs, SMs 2-7) is still running. */
+void
+enqueue_concurrent_pair(Gpu& gpu)
+{
+    auto enqueue = [&](Stream& s, int m, int n, int k, const char* name) {
+        GemmKernelConfig kc;
+        kc.m = m;
+        kc.n = n;
+        kc.k = k;
+        kc.functional = false;
+        GemmBuffers buf;
+        buf.a = gpu.mem().alloc(static_cast<uint64_t>(m) * k * 2);
+        buf.b = gpu.mem().alloc(static_cast<uint64_t>(k) * n * 2);
+        buf.c = gpu.mem().alloc(static_cast<uint64_t>(m) * n * 4);
+        buf.d = gpu.mem().alloc(static_cast<uint64_t>(m) * n * 4);
+        KernelDesc desc = make_wmma_gemm_naive(kc, buf);
+        desc.name = name;
+        s.enqueue(std::move(desc));
+    };
+    enqueue(gpu.default_stream(), 64, 64, 64, "short");
+    enqueue(gpu.create_stream(), 128, 96, 128, "long");
+}
+
+SimOptions
+with_idle_skip(bool idle_skip)
+{
+    SimOptions opts;
+    opts.idle_skip = idle_skip;
+    return opts;
+}
+
+TEST(Settlement, KernelRetiresWhileOtherSmsAreSkipped)
+{
+    // "short" retires while "long" runs on (an instrumented build
+    // found 5 of the 6 busy SMs skipped on the retire tick): the
+    // per-kernel stall attribution and the chip-wide totals must
+    // equal the lockstep run's.
+    GpuConfig cfg = backpressure_config();
+    EngineStats run[2];
+    for (bool idle_skip : {true, false}) {
+        Gpu gpu(cfg, with_idle_skip(idle_skip));
+        enqueue_concurrent_pair(gpu);
+        run[idle_skip ? 0 : 1] = gpu.run();
+    }
+    const EngineStats& skip = run[0];
+    const EngineStats& lockstep = run[1];
+    ASSERT_EQ(skip.kernels.size(), 2u);
+    EXPECT_EQ(skip.kernels[0].kernel, "short");
+    EXPECT_LT(skip.kernels[0].finish_cycle, skip.kernels[1].finish_cycle);
+    EXPECT_GT(skip.kernels[0].stalls[StallReason::kMshrFull], 0u);
+    EXPECT_GT(skip.skipped_cycles, 0u);
+    EXPECT_LT(skip.ticks, lockstep.ticks);
+    // Per-kernel and chip-wide stalls, cycles and memory counters.
+    expect_identical(skip, lockstep);
+}
+
+TEST(Settlement, CallbackLaunchLandsOnSkippedSms)
+{
+    // A host callback fires on the tick after "short" retires and
+    // enqueues "late" on a stream it creates, so "late" is promoted
+    // and dispatched the tick after that -- onto SMs that "long" keeps
+    // busy and the callback tick skipped (an instrumented build found
+    // 7 of the 8 SMs with that tick's stalls unsettled).  Each
+    // "long" CTA is one warp, so three of every SM's four sub-cores
+    // are empty and stall kEmpty until "late"'s 4-warp CTAs land:
+    // their skipped cycles must be charged before the CTA arrives.
+    GpuConfig cfg = backpressure_config();
+    auto enqueue = [](Gpu& gpu, Stream& s, int m, int n, int k,
+                      int warps_per_cta, const char* name) {
+        GemmKernelConfig kc;
+        kc.m = m;
+        kc.n = n;
+        kc.k = k;
+        kc.functional = false;
+        GemmBuffers buf;
+        buf.a = gpu.mem().alloc(static_cast<uint64_t>(m) * k * 2);
+        buf.b = gpu.mem().alloc(static_cast<uint64_t>(k) * n * 2);
+        buf.c = gpu.mem().alloc(static_cast<uint64_t>(m) * n * 4);
+        buf.d = gpu.mem().alloc(static_cast<uint64_t>(m) * n * 4);
+        KernelDesc desc = make_wmma_gemm_naive(kc, buf, warps_per_cta);
+        desc.name = name;
+        s.enqueue(std::move(desc));
+    };
+    EngineStats run[2];
+    for (bool idle_skip : {true, false}) {
+        Gpu gpu(cfg, with_idle_skip(idle_skip));
+        Stream& side = gpu.create_stream();
+        enqueue(gpu, gpu.default_stream(), 128, 16, 512, 1, "long");
+        enqueue(gpu, side, 16, 16, 64, 1, "short");
+        side.add_callback([&](uint64_t) {
+            enqueue(gpu, gpu.create_stream(), 64, 64, 64, 4, "late");
+        });
+        run[idle_skip ? 0 : 1] = gpu.run();
+    }
+    ASSERT_EQ(run[0].kernels.size(), 3u);
+    EXPECT_EQ(run[0].kernels[0].kernel, "short");
+    EXPECT_EQ(run[0].kernels[1].kernel, "late");
+    EXPECT_GT(run[0].stalls[StallReason::kEmpty], 0u);
+    EXPECT_LT(run[0].ticks, run[1].ticks);
+    expect_identical(run[0], run[1]);
+}
+
+TEST(Settlement, PrimeChunkedRunUntilMatchesLockstepAndOneShot)
+{
+    // Every pause returns statistics settled up to the clock: at each
+    // chunk boundary they equal the lockstep run's, and the chunked
+    // run ends exactly where a one-shot run does.
+    GpuConfig cfg = backpressure_config();
+    EngineStats one_shot = [&] {
+        Gpu gpu(cfg, with_idle_skip(true));
+        enqueue_concurrent_pair(gpu);
+        return gpu.run();
+    }();
+    Gpu skip(cfg, with_idle_skip(true));
+    Gpu lockstep(cfg, with_idle_skip(false));
+    enqueue_concurrent_pair(skip);
+    enqueue_concurrent_pair(lockstep);
+    EngineStats last;
+    int pauses = 0;
+    for (uint64_t at = 996; skip.run_active() || pauses == 0; at += 997) {
+        SCOPED_TRACE("paused at cycle " + std::to_string(at));
+        last = skip.run_until(at);
+        expect_identical(last, lockstep.run_until(at));
+        EXPECT_EQ(skip.run_active(), lockstep.run_active());
+        ++pauses;
+    }
+    EXPECT_GT(pauses, 10);
+    expect_identical(last, one_shot);
+}
+
+TEST(Settlement, RestoreWhileSmsAreSkipped)
+{
+    // Capture at three cycles where busy SMs sit skipped (an
+    // instrumented build found every busy SM -- 8, 8 and 6 -- with
+    // stalls still to charge when each pause began): the restored run
+    // re-derives the settled cycle from the clock and must finish
+    // exactly like the uninterrupted one.
+    GpuConfig cfg = backpressure_config();
+    SimOptions opts = with_idle_skip(true);
+    EngineStats base = [&] {
+        Gpu gpu(cfg, opts);
+        enqueue_concurrent_pair(gpu);
+        return gpu.run();
+    }();
+    for (uint64_t at : {base.cycles / 7, base.cycles / 3,
+                        base.cycles * 3 / 4}) {
+        SCOPED_TRACE("capture at cycle " + std::to_string(at));
+        Gpu gpu(cfg, opts);
+        enqueue_concurrent_pair(gpu);
+        gpu.run_until(at);
+        ASSERT_TRUE(gpu.run_active());
+        Snapshot snap = gpu.snapshot();
+        Gpu fork(cfg, opts);
+        fork.restore(snap);
+        expect_identical(base, fork.run());
+        expect_identical(base, gpu.run());
+    }
 }
 
 TEST(SampledSms, RejectsFunctionalKernels)
